@@ -35,7 +35,7 @@ import numpy as np
 
 from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, collect, count
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import gather_range_indices, segment_sum
+from ..sparse.ops import gather_range_indices, indptr_from_counts, segment_sum
 from ..sparse.spgemm import spgemm
 from .interp_common import coarse_index, entries_in_pattern, identity_rows, pattern_keys
 from .truncation import truncate_interpolation
@@ -48,6 +48,17 @@ _TINY = 1e-300
 
 def _strong_mask(A: CSRMatrix, S: CSRMatrix) -> np.ndarray:
     return entries_in_pattern(A.row_ids(), A.indices, S)
+
+
+def _masked(A: CSRMatrix, canonical: bool, mask: np.ndarray, data: np.ndarray) -> CSRMatrix:
+    """The entries of *A* selected by *mask*, with values *data*, in
+    canonical CSR: masked directly when *A* is *canonical* (sorted,
+    duplicate-free rows), else coalesced through ``from_coo``."""
+    rows = A.row_ids()[mask]
+    if not canonical:
+        return CSRMatrix.from_coo(A.shape, rows, A.indices[mask], data)
+    counts = np.bincount(rows, minlength=A.nrows)
+    return CSRMatrix(A.shape, indptr_from_counts(counts), A.indices[mask], data)
 
 
 def extended_i_interpolation(
@@ -88,11 +99,13 @@ def extended_i_interpolation(
     strong = _strong_mask(A, S)
     is_c_col = cf_marker[cols] > 0
 
-    # Strong-C adjacency (all rows) and strong-F pairs (F rows only).
+    # Strong-C adjacency (all rows) and strong-F pairs (F rows only): masks
+    # of A, so canonical (sorted, duplicate-free) when A is.
+    canonical = A.has_sorted_indices()
     sc = strong & is_c_col
-    SC = CSRMatrix.from_coo((n, n), rid[sc], cols[sc], np.ones(int(sc.sum())))
+    SC = _masked(A, canonical, sc, np.ones(int(sc.sum())))
     fs = strong & ~is_c_col & f_row & offdiag
-    AFS = CSRMatrix.from_coo((n, n), rid[fs], cols[fs], vals[fs])
+    AFS = _masked(A, canonical, fs, vals[fs])
 
     # Chat pattern: strong C of i plus strong C of i's strong F neighbours.
     D2 = spgemm(AFS, SC, kernel="interp.exti_dist2")

@@ -15,9 +15,9 @@ numerics recomputed.  This module implements both halves:
   (a pattern matrix — its unit values never change), the raw and stored
   interpolation patterns, and the RAP reuse plan
   (:class:`~repro.sparse.triple_product.RAPCFBlockPlan` /
-  :class:`~repro.sparse.triple_product.RAPFusedPlan`).  Capture is
-  **silent**: all replay work runs in discarded collection scopes, so a
-  capturing build emits exactly the kernel records of a plain one.
+  :class:`~repro.sparse.triple_product.RAPFusedPlan`, a by-product of the
+  single-pass Galerkin product).  Capture is **silent**: a capturing build
+  emits exactly the kernel records of a plain one.
 
 * **Refresh** (:func:`refresh_hierarchy`, the implementation of
   :meth:`Hierarchy.refresh <repro.amg.setup.Hierarchy.refresh>`): re-runs
@@ -215,10 +215,6 @@ class PlanBuilder:
         if self._dead:
             return
         self.plan.levels[-1].rap = rap_plan
-
-    def wants_rap_plan(self) -> bool:
-        """Whether the Galerkin product should run its plan-capturing twin."""
-        return not self._dead
 
     def finish(self, levels) -> SetupPlan | None:
         """Resolve cross-level artifacts once every ordering is final.

@@ -177,26 +177,18 @@ def build_gs_schedule(
         level[frontier] = lev
         lev += 1
         # Decrement in-degrees of the dependents of the frontier rows.
-        segs = [rev_dst_s[rev_ptr[r]: rev_ptr[r + 1]] for r in frontier]
-        if segs:
-            dst = np.concatenate(segs) if len(segs) > 1 else segs[0]
-        else:
-            dst = np.empty(0, dtype=np.int64)
+        starts = rev_ptr[frontier]
+        dst = rev_dst_s[gather_range_indices(starts, rev_ptr[frontier + 1] - starts)]
         if len(dst):
-            dec = np.bincount(dst, minlength=m)
-            indeg -= dec
-            frontier = np.flatnonzero((indeg == 0) & (level == -1) & (dec[: m] > 0))
-            # Rows whose last dependency cleared this round:
-            frontier = np.flatnonzero((indeg == 0) & (level == -1))
-        else:
-            frontier = np.flatnonzero((indeg == 0) & (level == -1))
+            indeg -= np.bincount(dst, minlength=m)
+        frontier = np.flatnonzero((indeg == 0) & (level == -1))
         if len(frontier) == 0 and (level == -1).any() and not len(dst):
             raise RuntimeError("GS schedule: dependency cycle (non-symmetric pattern?)")
 
     if (level == -1).any():
         raise RuntimeError("GS schedule failed to level all rows")
 
-    order = np.lexsort((np.arange(m), level))
+    order = np.argsort(level, kind="stable")
     rows_packed = rows_sel[order]
     lvl_sorted = level[order]
     nlev = int(lvl_sorted[-1]) + 1 if m else 0

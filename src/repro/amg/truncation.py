@@ -49,7 +49,10 @@ def truncate_interpolation(
 
     if max_elmts > 0:
         # k-th largest per row: sort entries by (row, -|v|), rank in row.
-        order = np.lexsort((-absv, rid))
+        # Two stable passes (minor key first) give lexsort's order, ties
+        # included.
+        order = np.argsort(-absv, kind="stable")
+        order = order[np.argsort(rid[order], kind="stable")]
         rank = np.arange(P.nnz, dtype=np.int64) - P.indptr[rid[order]]
         kth = np.full(n, np.inf)
         sel = rank == (max_elmts - 1)

@@ -17,7 +17,7 @@ import numpy as np
 from ..amg import AMGSolver
 from ..config import AMGConfig, amgx_config
 from ..dist import DistAMGSolver, ParCSRMatrix, ParVector, RowPartition, SimComm, dist_fgmres
-from ..perf import HaswellModel, K40cModel, MachineModel, FDRInfinibandModel, PerfLog, collect
+from ..perf import HaswellModel, K40cModel, MachineModel, FDRInfinibandModel, collect
 from ..sparse.csr import CSRMatrix
 
 __all__ = [
@@ -279,15 +279,7 @@ def run_distributed(
     else:
         res = solver.solve(bp, tol=tol, max_iter=max_iter)
 
-    solve_logs = []
-    for p, log in enumerate(comm.rank_logs):
-        sub = PerfLog()
-        sub.records = log.records[setup_records[p]:]
-        solve_logs.append(sub)
-    solve_compute: dict[str, float] = {}
-    for log in solve_logs:
-        for ph, t in machine.phase_times(log).items():
-            solve_compute[ph] = max(solve_compute.get(ph, 0.0), t)
+    solve_compute = comm.compute_phase_makespan(machine, since=setup_records)
 
     solve_msgs = [m.event for m in comm.messages[pre_msgs:]]
     solve_comm = net.exchange_time(solve_msgs, nranks)

@@ -165,10 +165,20 @@ class SimComm:
     def message_count(self, *, tag: str | None = None) -> int:
         return sum(1 for m in self.messages if tag is None or m.event.tag == tag)
 
-    def compute_phase_makespan(self, machine, irregular_fraction: float = 0.5) -> dict[str, float]:
-        """Per-phase compute makespan over ranks (modeled seconds)."""
+    def compute_phase_makespan(
+        self, machine, irregular_fraction: float = 0.5, *,
+        since: list[int] | None = None,
+    ) -> dict[str, float]:
+        """Per-phase compute makespan over ranks (modeled seconds).
+
+        With ``since`` (each rank's earlier record count) only the records
+        logged after it count — e.g. a solve run after setup.
+        """
         out: dict[str, float] = {}
-        for log in self.rank_logs:
+        for p, log in enumerate(self.rank_logs):
+            if since is not None:
+                log = PerfLog()
+                log.records = self.rank_logs[p].records[since[p]:]
             for ph, t in machine.phase_times(log, irregular_fraction).items():
                 out[ph] = max(out.get(ph, 0.0), t)
         return out

@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from ..perf.counters import IDX_BYTES, count
+from ..sparse.ops import coo_order
 
 __all__ = ["renumber_baseline", "renumber_parallel", "RenumberResult"]
 
@@ -107,7 +108,7 @@ def renumber_parallel(
     n = len(queries)
 
     # Stage 1: thread-private hash filters (per-chunk dedup), vectorized as
-    # one lexsort over (chunk id, query) with a first-occurrence mask —
+    # one sort over (chunk id, query) keys with a first-occurrence mask —
     # identical survivor multiset to per-chunk np.unique without a Python
     # loop over threads.
     t = max(nthreads, 1)
@@ -117,7 +118,7 @@ def renumber_parallel(
         sizes = np.full(t, size, dtype=np.int64)
         sizes[:extra] += 1
         chunk_of = np.repeat(np.arange(t, dtype=np.int64), sizes)
-        order = np.lexsort((queries, chunk_of))
+        order = coo_order((t, int(queries.max()) + 1), chunk_of, queries)
         qs, cs = queries[order], chunk_of[order]
         first = np.empty(n, dtype=bool)
         first[0] = True

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..perf.counters import IDX_BYTES, VAL_BYTES, count
+from ..sparse.ops import coo_order
 from .comm import SimComm
 from .parcsr import ParCSRMatrix
 
@@ -80,7 +81,7 @@ def gather_matrix_rows(
     owner_extra: list[dict[str, np.ndarray]] = []
     for q, blk in enumerate(B.blocks):
         r, c, v = blk.row_arrays_global(B.col_part.lo(q))
-        order = np.lexsort((c, r))
+        order = coo_order(B.shape, r, c)
         owner_rows.append(r[order])
         owner_cols.append(c[order])
         owner_vals.append(v[order])
@@ -142,7 +143,7 @@ def gather_matrix_rows(
             av = np.empty(0, dtype=np.float64)
             aextra = {n: np.empty(0) for n in pieces_extra}
         # Assemble received rows in ascending global-row order.
-        order = np.lexsort((ac, ar))
+        order = coo_order(B.shape, ar, ac)
         ar, ac, av = ar[order], ac[order], av[order]
         aextra = {n: v[order] for n, v in aextra.items()}
         counts = np.bincount(

@@ -16,6 +16,9 @@ __all__ = [
     "gather_range_indices",
     "segment_sum",
     "prefix_sum_partition",
+    "coo_keys",
+    "coo_order",
+    "coalesce",
 ]
 
 
@@ -74,3 +77,42 @@ def prefix_sum_partition(counts: np.ndarray) -> tuple[np.ndarray, int]:
     """
     indptr = indptr_from_counts(np.asarray(counts, dtype=np.int64))
     return indptr, int(indptr[-1])
+
+
+def coo_keys(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row-major ``int64`` keys ``row * ncols + col`` (``OverflowError`` if
+    ``nrows * ncols`` does not fit)."""
+    nrows, ncols = int(shape[0]), int(shape[1])
+    if nrows * ncols > 2**63:
+        raise OverflowError(f"a {nrows} x {ncols} matrix overflows the int64 sort key")
+    return np.asarray(rows, dtype=np.int64) * np.int64(ncols) + np.asarray(cols, dtype=np.int64)
+
+
+def coo_order(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Stable row-major sort permutation: ``np.lexsort((cols, rows))``'s
+    order, from one ``argsort`` of the ``int64`` keys."""
+    return np.argsort(coo_keys(shape, rows, cols), kind="stable")
+
+
+def coalesce(
+    shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merge duplicate coordinate pairs into a sorted CSR pattern.
+
+    One stable sort yields pattern and term map together: returns
+    ``(indptr, indices, order, group)``, where input term ``order[t]`` (the
+    :func:`coo_order`) lands in output slot ``group[t]``.  The coalesced
+    values, duplicates summed in input order, are
+    ``np.bincount(group, weights=vals[order], minlength=len(indices))``.
+    """
+    nrows, ncols = int(shape[0]), int(shape[1])
+    key = coo_keys(shape, rows, cols)
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    new = np.empty(len(skey), dtype=bool)
+    new[:1] = True
+    np.not_equal(skey[1:], skey[:-1], out=new[1:])
+    group = np.cumsum(new) - 1
+    ukey = skey[new]
+    indptr = indptr_from_counts(np.bincount(ukey // ncols, minlength=nrows))
+    return indptr, ukey % ncols, order, group

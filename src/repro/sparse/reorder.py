@@ -23,7 +23,7 @@ import numpy as np
 
 from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, count
 from .csr import CSRMatrix
-from .ops import indptr_from_counts, segment_sum
+from .ops import coo_order, indptr_from_counts, segment_sum
 
 __all__ = [
     "cf_permutation",
@@ -105,7 +105,7 @@ def partition_rows_by_category(
     if len(category) != A.nnz:
         raise ValueError("category must have one entry per stored non-zero")
     rid = A.row_ids()
-    order = np.lexsort((np.arange(A.nnz), category, rid))
+    order = coo_order((A.nrows, ncat), rid, category)
     B = CSRMatrix(A.shape, A.indptr.copy(), A.indices[order], A.data[order])
     ptrs = np.empty((ncat + 1, A.nrows), dtype=np.int64)
     ptrs[0] = A.indptr[:-1]

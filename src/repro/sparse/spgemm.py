@@ -37,16 +37,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, count
+from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, collect, count
 from .csr import CSRMatrix
-from .ops import gather_range_indices, indptr_from_counts
+from .ops import coalesce, gather_range_indices
 
 __all__ = [
     "spgemm",
+    "spgemm_plan",
     "spgemm_symbolic",
     "spgemm_numeric",
     "SpGEMMPlan",
     "sp_add",
+    "sp_add_plan",
     "sp_add_numeric",
     "SpAddPlan",
     "expansion_size",
@@ -72,27 +74,6 @@ def _expand(A: CSRMatrix, B: CSRMatrix):
     ecols = B.indices[idx]
     evals = np.repeat(A.data, bcounts) * B.data[idx]
     return erows, ecols, evals
-
-
-def _compress(shape, erows, ecols, evals) -> CSRMatrix:
-    """Sum duplicate (row, col) product terms into a CSR matrix."""
-    nrows, ncols = shape
-    if len(erows) == 0:
-        return CSRMatrix.zeros(shape)
-    key = erows * np.int64(ncols) + ecols
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    new = np.empty(len(skey), dtype=bool)
-    new[0] = True
-    new[1:] = skey[1:] != skey[:-1]
-    group = np.cumsum(new) - 1
-    nuniq = int(group[-1]) + 1
-    vals = np.bincount(group, weights=evals[order], minlength=nuniq)
-    ukey = skey[new]
-    out_rows = (ukey // ncols).astype(np.int64)
-    out_cols = (ukey % ncols).astype(np.int64)
-    indptr = indptr_from_counts(np.bincount(out_rows, minlength=nrows))
-    return CSRMatrix(shape, indptr, out_cols, vals)
 
 
 def expansion_size(A: CSRMatrix, B: CSRMatrix) -> int:
@@ -158,19 +139,7 @@ def spgemm(
     parallel: bool = True,
 ) -> CSRMatrix:
     """``C = A @ B`` with the traffic/branch profile of *method*."""
-    erows, ecols, evals = _expand(A, B)
-    C = _compress((A.nrows, B.ncols), erows, ecols, evals)
-    expansion = len(erows)
-    br, bw, branches = spgemm_traffic(A, B, C, expansion, method)
-    count(
-        f"{kernel}.{method}",
-        flops=2 * expansion,
-        bytes_read=br,
-        bytes_written=bw,
-        branches=branches,
-        parallel=parallel,
-    )
-    return C
+    return spgemm_plan(A, B, method=method, kernel=kernel, parallel=parallel)[0]
 
 
 @dataclass
@@ -190,43 +159,51 @@ class SpGEMMPlan:
     expansion: int
 
 
+def spgemm_plan(
+    A: CSRMatrix,
+    B: CSRMatrix,
+    *,
+    method: str = "one_pass",
+    kernel: str = "spgemm",
+    parallel: bool = True,
+) -> tuple[CSRMatrix, SpGEMMPlan]:
+    """:func:`spgemm` plus its :class:`SpGEMMPlan`, from a single pass.
+
+    One expansion and one coalescing sort yield the product and its term
+    mapping together — the plan is a by-product, so this is counted exactly
+    like :func:`spgemm` (no symbolic record).
+    """
+    erows, ecols, evals = _expand(A, B)
+    shape = (A.nrows, B.ncols)
+    indptr, indices, order, group = coalesce(shape, erows, ecols)
+    vals = np.bincount(group, weights=evals[order], minlength=len(indices))
+    C = CSRMatrix(shape, indptr, indices, vals)
+    expansion = len(erows)
+    br, bw, branches = spgemm_traffic(A, B, C, expansion, method)
+    count(
+        f"{kernel}.{method}",
+        flops=2 * expansion,
+        bytes_read=br,
+        bytes_written=bw,
+        branches=branches,
+        parallel=parallel,
+    )
+    return C, SpGEMMPlan(shape, indptr, indices, order, group, expansion)
+
+
 def spgemm_symbolic(A: CSRMatrix, B: CSRMatrix, *, kernel: str = "spgemm") -> SpGEMMPlan:
     """Symbolic phase: compute the pattern of ``A B`` and the term mapping."""
-    erows, ecols, _ = _expand(A, B)
-    ncols = B.ncols
-    if len(erows) == 0:
-        return SpGEMMPlan(
-            (A.nrows, ncols),
-            np.zeros(A.nrows + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            0,
+    with collect():  # counted below as a symbolic pass
+        _, plan = spgemm_plan(A, B)
+    if plan.expansion:
+        count(
+            f"{kernel}.symbolic",
+            bytes_read=(A.nnz * IDX_BYTES + (A.nrows + 1) * PTR_BYTES
+                        + plan.expansion * IDX_BYTES + A.nnz * 2 * PTR_BYTES),
+            bytes_written=len(plan.indices) * IDX_BYTES + (A.nrows + 1) * PTR_BYTES,
+            branches=float(plan.expansion),
         )
-    key = erows * np.int64(ncols) + ecols
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    new = np.empty(len(skey), dtype=bool)
-    new[0] = True
-    new[1:] = skey[1:] != skey[:-1]
-    group = np.cumsum(new) - 1
-    ukey = skey[new]
-    out_rows = (ukey // ncols).astype(np.int64)
-    out_cols = (ukey % ncols).astype(np.int64)
-    indptr = indptr_from_counts(np.bincount(out_rows, minlength=A.nrows))
-    sym_read = (
-        A.nnz * IDX_BYTES
-        + (A.nrows + 1) * PTR_BYTES
-        + len(erows) * IDX_BYTES
-        + A.nnz * 2 * PTR_BYTES
-    )
-    count(
-        f"{kernel}.symbolic",
-        bytes_read=sym_read,
-        bytes_written=len(out_cols) * IDX_BYTES + (A.nrows + 1) * PTR_BYTES,
-        branches=float(len(erows)),
-    )
-    return SpGEMMPlan((A.nrows, ncols), indptr, out_cols, order, group, len(erows))
+    return plan
 
 
 def spgemm_numeric(
@@ -239,12 +216,8 @@ def spgemm_numeric(
     disappears.
     """
     _, _, evals = _expand(A, B)
-    nuniq = len(plan.indices)
-    vals = (
-        np.bincount(plan.term_group, weights=evals[plan.term_perm], minlength=nuniq)
-        if plan.expansion
-        else np.empty(0, dtype=np.float64)
-    )
+    vals = np.bincount(plan.term_group, weights=evals[plan.term_perm],
+                       minlength=len(plan.indices))
     C = CSRMatrix(plan.shape, plan.indptr.copy(), plan.indices.copy(), vals)
     br, bw, branches = spgemm_traffic(A, B, C, plan.expansion, "numeric_only")
     count(
@@ -261,20 +234,18 @@ def sp_add(
     A: CSRMatrix, B: CSRMatrix, alpha: float = 1.0, beta: float = 1.0, *, kernel: str = "sp_add"
 ) -> CSRMatrix:
     """``alpha*A + beta*B`` with union sparsity (explicit zeros kept)."""
+    return sp_add_plan(A, B, alpha, beta, kernel=kernel)[0]
+
+
+def _union(A: CSRMatrix, B: CSRMatrix):
+    """Coalesce the stacked entries of *A* then *B* (see :func:`coalesce`)."""
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    erows = np.concatenate([A.row_ids(), B.row_ids()])
-    ecols = np.concatenate([A.indices, B.indices])
-    evals = np.concatenate([alpha * A.data, beta * B.data])
-    C = _compress(A.shape, erows, ecols, evals)
-    count(
-        kernel,
-        flops=2 * (A.nnz + B.nnz),
-        bytes_read=_matrix_bytes(A) + _matrix_bytes(B),
-        bytes_written=_matrix_bytes(C),
-        branches=float(A.nnz + B.nnz),
+    return coalesce(
+        A.shape,
+        np.concatenate([A.row_ids(), B.row_ids()]),
+        np.concatenate([A.indices, B.indices]),
     )
-    return C
 
 
 @dataclass
@@ -297,29 +268,34 @@ class SpAddPlan:
     @classmethod
     def capture(cls, A: CSRMatrix, B: CSRMatrix) -> "SpAddPlan":
         """Symbolic union of two patterns (uncounted capture helper)."""
-        if A.shape != B.shape:
-            raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-        nrows, ncols = A.shape
-        erows = np.concatenate([A.row_ids(), B.row_ids()])
-        ecols = np.concatenate([A.indices, B.indices])
-        if len(erows) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(A.shape, np.zeros(nrows + 1, dtype=np.int64),
-                       empty, empty.copy(), empty.copy())
-        key = erows * np.int64(ncols) + ecols
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        new = np.empty(len(skey), dtype=bool)
-        new[0] = True
-        new[1:] = skey[1:] != skey[:-1]
-        group = np.cumsum(new) - 1
+        return cls._from_union(A, *_union(A, B))
+
+    @classmethod
+    def _from_union(cls, A, indptr, indices, order, group) -> "SpAddPlan":
         slot = np.empty(len(order), dtype=np.int64)
         slot[order] = group
-        ukey = skey[new]
-        out_rows = (ukey // ncols).astype(np.int64)
-        out_cols = (ukey % ncols).astype(np.int64)
-        indptr = indptr_from_counts(np.bincount(out_rows, minlength=nrows))
-        return cls(A.shape, indptr, out_cols, slot[: A.nnz], slot[A.nnz:])
+        return cls(A.shape, indptr, indices, slot[: A.nnz], slot[A.nnz:])
+
+
+def sp_add_plan(
+    A: CSRMatrix, B: CSRMatrix, alpha: float = 1.0, beta: float = 1.0, *, kernel: str = "sp_add"
+) -> tuple[CSRMatrix, SpAddPlan]:
+    """:func:`sp_add` plus its :class:`SpAddPlan`, from one coalescing sort.
+
+    Counted exactly like :func:`sp_add`.
+    """
+    indptr, indices, order, group = _union(A, B)
+    evals = np.concatenate([alpha * A.data, beta * B.data])
+    vals = np.bincount(group, weights=evals[order], minlength=len(indices))
+    C = CSRMatrix(A.shape, indptr, indices, vals)
+    count(
+        kernel,
+        flops=2 * (A.nnz + B.nnz),
+        bytes_read=_matrix_bytes(A) + _matrix_bytes(B),
+        bytes_written=_matrix_bytes(C),
+        branches=float(A.nnz + B.nnz),
+    )
+    return C, SpAddPlan._from_union(A, indptr, indices, order, group)
 
 
 def sp_add_numeric(

@@ -33,11 +33,11 @@ from .spgemm import (
     SpAddPlan,
     SpGEMMPlan,
     expansion_size,
-    sp_add,
     sp_add_numeric,
+    sp_add_plan,
     spgemm,
     spgemm_numeric,
-    spgemm_symbolic,
+    spgemm_plan,
 )
 from .transpose import transpose
 
@@ -104,34 +104,7 @@ def rap_fused(R: CSRMatrix, A: CSRMatrix, P: CSRMatrix) -> CSRMatrix:
     product; the counted traffic omits the memory round-trip of ``B`` and
     adds the one-pass output copy (§3.1.1's pre-allocation scheme).
     """
-    _check_dims(R, A, P)
-    N2 = expansion_size(R, A)
-    B = spgemm(R, A, kernel="rap.fused_internal")
-    M2 = expansion_size(B, P)
-    C = spgemm(B, P, kernel="rap.fused_internal")
-    # Discard the two internal records; emit the fused kernel's accounting.
-    from ..perf.counters import active_log
-
-    log = active_log()
-    if log is not None:
-        log.records = [r for r in log.records if r.kernel != "rap.fused_internal.one_pass"]
-    bytes_read = (
-        _matrix_bytes(R)
-        + N2 * (VAL_BYTES + IDX_BYTES)  # gathered rows of A
-        + R.nnz * 2 * PTR_BYTES
-        + M2 * (VAL_BYTES + IDX_BYTES)  # gathered rows of P
-        + B.nnz * 2 * PTR_BYTES
-        + _matrix_bytes(C)  # one-pass chunk copy (read side)
-    )
-    bytes_written = 2 * _matrix_bytes(C)  # chunk write + contiguous copy
-    count(
-        "rap.fused",
-        flops=2 * N2 + 2 * M2,
-        bytes_read=bytes_read,
-        bytes_written=bytes_written,
-        branches=float(N2 + M2),
-    )
-    return C
+    return rap_fused_plan(R, A, P)[0]
 
 
 def _entry_id_matrix(M: CSRMatrix) -> CSRMatrix:
@@ -165,19 +138,35 @@ class RAPFusedPlan:
 def rap_fused_plan(
     R: CSRMatrix, A: CSRMatrix, P: CSRMatrix
 ) -> tuple[CSRMatrix, RAPFusedPlan]:
-    """:func:`rap_fused` plus a captured :class:`RAPFusedPlan`.
+    """:func:`rap_fused` together with its :class:`RAPFusedPlan`.
 
-    Emits exactly the kernel records of the fresh :func:`rap_fused` (the
-    capture itself runs in a discarded collection scope), so a
-    plan-capturing setup is indistinguishable from a plain one in the
-    performance model.  The returned coarse operator is the fresh kernel's.
+    Each product's pattern and term mapping come out of the same pass that
+    computes its values (:func:`~repro.sparse.spgemm.spgemm_plan`), so the
+    plan costs no second symbolic pass.  The internal products run in a
+    discarded collection scope; the only record is the fused kernel's.
     """
-    C = rap_fused(R, A, P)
+    _check_dims(R, A, P)
     with collect():
+        B, ra = spgemm_plan(R, A)
+        C, bp = spgemm_plan(B, P)
         rid = transpose(_entry_id_matrix(P))
-        ra = spgemm_symbolic(R, A)
-        B = spgemm_numeric(ra, R, A)
-        bp = spgemm_symbolic(B, P)
+    N2, M2 = ra.expansion, bp.expansion
+    bytes_read = (
+        _matrix_bytes(R)
+        + N2 * (VAL_BYTES + IDX_BYTES)  # gathered rows of A
+        + R.nnz * 2 * PTR_BYTES
+        + M2 * (VAL_BYTES + IDX_BYTES)  # gathered rows of P
+        + B.nnz * 2 * PTR_BYTES
+        + _matrix_bytes(C)  # one-pass chunk copy (read side)
+    )
+    bytes_written = 2 * _matrix_bytes(C)  # chunk write + contiguous copy
+    count(
+        "rap.fused",
+        flops=2 * N2 + 2 * M2,
+        bytes_read=bytes_read,
+        bytes_written=bytes_written,
+        branches=float(N2 + M2),
+    )
     plan = RAPFusedPlan(
         r_shape=R.shape,
         r_indptr=R.indptr,
@@ -236,13 +225,8 @@ def rap_hypre_fusion(
     """
     _check_dims(R, A, P)
     N2 = expansion_size(R, A)
-    B = spgemm(R, A, kernel="rap.hypre_internal")
-    C = spgemm(B, P, kernel="rap.hypre_internal")
-    from ..perf.counters import active_log
-
-    log = active_log()
-    if log is not None:
-        log.records = [r for r in log.records if r.kernel != "rap.hypre_internal.one_pass"]
+    with collect():  # only the fused record below is counted
+        C = spgemm(spgemm(R, A), P)
     p_rownnz = P.row_nnz().astype(np.float64)
     w = segment_sum(p_rownnz[A.indices], A.row_ids(), A.nrows)
     N3 = float(np.sum(w[R.indices]))
@@ -292,20 +276,9 @@ def rap_cf_block(
     This is the §3.1.1 "Reordering of the Interpolation Matrix" optimization:
     only the ``(n_l - n_{l+1})^2`` block ``A_FF`` enters a triple product.
     """
-    A_CC, A_CF, A_FC, A_FF = extract_cf_blocks(
-        A, cf_marker, already_partitioned=already_partitioned
-    )
-    if P_F.nrows != A_FF.nrows or P_F.ncols != A_CC.nrows:
-        raise ValueError(
-            f"P_F shape {P_F.shape} inconsistent with CF split "
-            f"({A_FF.nrows} F pts, {A_CC.nrows} C pts)"
-        )
-    PFt = transpose(P_F, kernel="rap.pf_transpose")
-    t_fc = spgemm(PFt, A_FC, method=method, kernel="rap.pft_afc")
-    inner = sp_add(A_CF, spgemm(PFt, A_FF, method=method, kernel="rap.pft_aff"),
-                   kernel="rap.add_inner")
-    t_ff = spgemm(inner, P_F, method=method, kernel="rap.inner_pf")
-    return sp_add(sp_add(A_CC, t_fc, kernel="rap.add1"), t_ff, kernel="rap.add2")
+    return rap_cf_block_plan(
+        A, P_F, cf_marker, method=method, already_partitioned=already_partitioned
+    )[0]
 
 
 @dataclass
@@ -343,54 +316,55 @@ def rap_cf_block_plan(
     method: str = "one_pass",
     already_partitioned: bool = False,
 ) -> tuple[CSRMatrix, RAPCFBlockPlan]:
-    """:func:`rap_cf_block` plus a captured :class:`RAPCFBlockPlan`.
+    """:func:`rap_cf_block` together with its :class:`RAPCFBlockPlan`.
 
-    Emits exactly the fresh kernel's records (all capture work runs in a
-    discarded collection scope) and returns the same coarse operator, so
-    plan capture is free in the performance model.
+    Single pass: the blocks and ``P_F^T`` are extracted as entry ids, whose
+    values are then gathered through those maps, and every product and
+    addition yields its plan from the same sort that computes its values
+    (:func:`~repro.sparse.spgemm.spgemm_plan`,
+    :func:`~repro.sparse.spgemm.sp_add_plan`).  The records are exactly
+    the fresh kernel's, in the same order.
     """
-    A_CC, A_CF, A_FC, A_FF = extract_cf_blocks(
-        A, cf_marker, already_partitioned=already_partitioned
+    id_blocks = extract_cf_blocks(
+        _entry_id_matrix(A), cf_marker, already_partitioned=already_partitioned
+    )
+    blocks = {
+        name: (blk.shape, blk.indptr, blk.indices, blk.data.astype(np.int64))
+        for name, blk in zip(("cc", "cf", "fc", "ff"), id_blocks)
+    }
+    A_CC, A_CF, A_FC, A_FF = (
+        CSRMatrix(shape, indptr, indices, A.data[emap])
+        for shape, indptr, indices, emap in blocks.values()
     )
     if P_F.nrows != A_FF.nrows or P_F.ncols != A_CC.nrows:
         raise ValueError(
             f"P_F shape {P_F.shape} inconsistent with CF split "
             f"({A_FF.nrows} F pts, {A_CC.nrows} C pts)"
         )
-    PFt = transpose(P_F, kernel="rap.pf_transpose")
-    t_fc = spgemm(PFt, A_FC, method=method, kernel="rap.pft_afc")
-    t_aff = spgemm(PFt, A_FF, method=method, kernel="rap.pft_aff")
-    inner = sp_add(A_CF, t_aff, kernel="rap.add_inner")
-    t_ff = spgemm(inner, P_F, method=method, kernel="rap.inner_pf")
-    s1 = sp_add(A_CC, t_fc, kernel="rap.add1")
-    C = sp_add(s1, t_ff, kernel="rap.add2")
-
-    with collect():
-        id_blocks = extract_cf_blocks(
-            _entry_id_matrix(A), cf_marker,
-            already_partitioned=already_partitioned,
-        )
-        pft_id = transpose(_entry_id_matrix(P_F))
-        blocks = {
-            name: (blk.shape, blk.indptr, blk.indices,
-                   blk.data.astype(np.int64))
-            for name, blk in zip(("cc", "cf", "fc", "ff"), id_blocks)
-        }
-        plan = RAPCFBlockPlan(
-            blocks=blocks,
-            pft_shape=PFt.shape,
-            pft_indptr=pft_id.indptr,
-            pft_indices=pft_id.indices,
-            pft_perm=pft_id.data.astype(np.int64),
-            p_fc=spgemm_symbolic(PFt, A_FC),
-            p_ff=spgemm_symbolic(PFt, A_FF),
-            p_inner=spgemm_symbolic(inner, P_F),
-            a_inner=SpAddPlan.capture(A_CF, t_aff),
-            a1=SpAddPlan.capture(A_CC, t_fc),
-            a2=SpAddPlan.capture(s1, t_ff),
-            a_nnz=A.nnz,
-            pf_nnz=P_F.nnz,
-        )
+    pft_id = transpose(_entry_id_matrix(P_F), kernel="rap.pf_transpose")
+    pft_perm = pft_id.data.astype(np.int64)
+    PFt = CSRMatrix(pft_id.shape, pft_id.indptr, pft_id.indices, P_F.data[pft_perm])
+    t_fc, p_fc = spgemm_plan(PFt, A_FC, method=method, kernel="rap.pft_afc")
+    t_aff, p_ff = spgemm_plan(PFt, A_FF, method=method, kernel="rap.pft_aff")
+    inner, a_inner = sp_add_plan(A_CF, t_aff, kernel="rap.add_inner")
+    t_ff, p_inner = spgemm_plan(inner, P_F, method=method, kernel="rap.inner_pf")
+    s1, a1 = sp_add_plan(A_CC, t_fc, kernel="rap.add1")
+    C, a2 = sp_add_plan(s1, t_ff, kernel="rap.add2")
+    plan = RAPCFBlockPlan(
+        blocks=blocks,
+        pft_shape=PFt.shape,
+        pft_indptr=PFt.indptr,
+        pft_indices=PFt.indices,
+        pft_perm=pft_perm,
+        p_fc=p_fc,
+        p_ff=p_ff,
+        p_inner=p_inner,
+        a_inner=a_inner,
+        a1=a1,
+        a2=a2,
+        a_nnz=A.nnz,
+        pf_nnz=P_F.nnz,
+    )
     return C, plan
 
 

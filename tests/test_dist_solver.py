@@ -1,5 +1,7 @@
 """Integration tests for the distributed AMG solver and FGMRES (§4, §5)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,27 @@ class TestModeledTimes:
             s.solve(ParVector.from_global(np.ones(A.nrows), part), tol=1e-7)
             vols.append(comm.comm_volume())
         assert vols[1] > vols[0]
+
+    def test_since_attributes_only_later_records(self):
+        A = laplace_2d_5pt(16)
+        comm, Ap, part = make(A, 4)
+        s = DistAMGSolver(comm, multi_node_config("ei", nthreads=4))
+        s.setup(Ap)
+        machine = HaswellModel()
+        setup = comm.compute_phase_makespan(machine)
+        marks = [len(log.records) for log in comm.rank_logs]
+        assert comm.compute_phase_makespan(machine, since=marks) == {}
+        s.solve(ParVector.from_global(np.ones(A.nrows), part), tol=1e-7)
+        solve = comm.compute_phase_makespan(machine, since=marks)
+        assert solve["GS"] > 0 and "RAP" not in solve
+        assert comm.compute_phase_makespan(machine)["RAP"] == setup["RAP"]
+
+    def test_cli_reports_nonzero_distributed_compute(self, capsys):
+        from repro.__main__ import main
+
+        rc = main(["solve", "--problem", "lap3d27", "--size", "8", "--ranks", "4"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        computes = [float(v) for v in re.findall(r"compute ([0-9.]+) ms", out)]
+        assert len(computes) == 2, out  # setup and solve
+        assert all(c > 0 for c in computes), out
