@@ -30,7 +30,6 @@ from .pmis import C_PT, F_PT, aggressive_pmis, pmis, random_measures
 from .resetup import LevelPlan, PlanBuilder, SetupPlan, refresh_hierarchy
 from .setup import Hierarchy, build_hierarchy
 from .smoothers import (
-    chebyshev_sweep,
     estimate_lambda_max,
     l1_diagonal,
     l1_jacobi_sweep,
@@ -39,10 +38,8 @@ from .smoothers import (
     block_of_rows,
     build_gs_schedule,
     greedy_coloring,
-    gs_sweep,
     gs_sweep_reference,
     jacobi_sweep,
-    multicolor_gs_sweep,
 )
 from .solver import AMGSolver, SolveResult
 from .strength import strength_matrix
@@ -58,7 +55,6 @@ __all__ = [
     "rs_coarsening",
     "classical_interpolation",
     "classical_numeric",
-    "chebyshev_sweep",
     "estimate_lambda_max",
     "l1_diagonal",
     "l1_jacobi_sweep",
@@ -93,10 +89,8 @@ __all__ = [
     "block_of_rows",
     "build_gs_schedule",
     "greedy_coloring",
-    "gs_sweep",
     "gs_sweep_reference",
     "jacobi_sweep",
-    "multicolor_gs_sweep",
     "AMGSolver",
     "SolveResult",
     "strength_matrix",

@@ -28,13 +28,13 @@ def full_multigrid(h: Hierarchy, b: np.ndarray, *, vcycles_per_level: int = 1) -
     ``b`` must be given in level-0's stored ordering (callers inside
     :class:`AMGSolver` handle the user-ordering translation).
     """
-    flags = h.config.flags
+    execs = h.solve_plan.levels
 
     # Restrict the right-hand side down the hierarchy.
     rhs = [np.asarray(b, dtype=np.float64)]
     for l in range(h.num_levels - 1):
         with phase("SpMV"):
-            rhs.append(h.levels[l].restrict(rhs[-1], flags))
+            rhs.append(execs[l].restrict(rhs[-1]))
 
     # Coarsest solve.
     x = h.coarse_solver.solve(rhs[-1])
@@ -43,7 +43,7 @@ def full_multigrid(h: Hierarchy, b: np.ndarray, *, vcycles_per_level: int = 1) -
     for l in range(h.num_levels - 2, -1, -1):
         lvl = h.levels[l]
         with phase("SpMV"):
-            x = lvl.interpolate(x, flags)
+            x = execs[l].interpolate(x)
         for _ in range(vcycles_per_level):
             with phase("SpMV"):
                 r = residual(lvl.A, x, rhs[l])

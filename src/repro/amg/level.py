@@ -1,4 +1,9 @@
-"""One level of the AMG hierarchy and its grid-transfer applications."""
+"""One level of the AMG hierarchy.
+
+The grid transfers of a level are applied through its prebound
+:class:`~repro.amg.solveplan.LevelExec` (``hierarchy.solve_plan.levels[l]``),
+which resolves the restrict/interpolate strategy once per hierarchy.
+"""
 
 from __future__ import annotations
 
@@ -6,18 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import OptimizationFlags
 from ..sparse.csr import CSRMatrix
-from ..sparse.spmv import (
-    spmv,
-    spmv_identity_block,
-    spmv_identity_block_multi,
-    spmv_identity_block_transposed,
-    spmv_identity_block_transposed_multi,
-    spmv_multi,
-    spmv_transposed,
-    spmv_transposed_multi,
-)
 from .smoothers import HybridGSSmoother
 
 __all__ = ["Level"]
@@ -54,34 +48,3 @@ class Level:
     @property
     def n(self) -> int:
         return self.A.nrows
-
-    # -- grid transfers ---------------------------------------------------
-    def restrict(self, r: np.ndarray, flags: OptimizationFlags) -> np.ndarray:
-        """``r_coarse = R r`` with the configured restriction strategy."""
-        if flags.cf_reorder and self.P_F is not None:
-            return spmv_identity_block_transposed(self.P_F, r, self.cperm)
-        if flags.keep_transpose and self.R is not None:
-            return spmv(self.R, r, kernel="spmv.restrict")
-        # Baseline: transpose P for every restriction (§3.2).
-        return spmv_transposed(self.P, r, materialize=True)
-
-    def interpolate(self, xc: np.ndarray, flags: OptimizationFlags) -> np.ndarray:
-        """``x_fine = P x_coarse``."""
-        if flags.cf_reorder and self.P_F is not None:
-            return spmv_identity_block(self.P_F, xc, self.cperm)
-        return spmv(self.P, xc, kernel="spmv.interp")
-
-    # -- blocked grid transfers (multiple RHS) ----------------------------
-    def restrict_multi(self, R: np.ndarray, flags: OptimizationFlags) -> np.ndarray:
-        """``R_coarse = R r`` column-wise on an ``(n, k)`` block."""
-        if flags.cf_reorder and self.P_F is not None:
-            return spmv_identity_block_transposed_multi(self.P_F, R, self.cperm)
-        if flags.keep_transpose and self.R is not None:
-            return spmv_multi(self.R, R, kernel="spmv.restrict")
-        return spmv_transposed_multi(self.P, R, materialize=True)
-
-    def interpolate_multi(self, Xc: np.ndarray, flags: OptimizationFlags) -> np.ndarray:
-        """``X_fine = P X_coarse`` column-wise on an ``(nc, k)`` block."""
-        if flags.cf_reorder and self.P_F is not None:
-            return spmv_identity_block_multi(self.P_F, Xc, self.cperm)
-        return spmv_multi(self.P, Xc, kernel="spmv.interp")

@@ -309,7 +309,7 @@ def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
         build_hierarchy,
     )
     from .smoothers import HybridGSSmoother
-    from .solveplan import attach_solve_plan, refresh_plans
+    from .solveplan import refresh_plans
 
     config = hierarchy.config
     plan = hierarchy.plan
@@ -453,12 +453,10 @@ def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
         refreshed = Hierarchy(
             levels=new_levels, coarse_solver=coarse, config=config, plan=plan
         )
-        # Solve plan: rebuild the numeric parts only, sharing every index
-        # array / flat-gather cache / record table with the old plan.
-        if getattr(hierarchy, "solve_plan", None) is not None:
-            refresh_plans(refreshed, hierarchy)
-        else:
-            attach_solve_plan(refreshed)
+        # The smoothers rebound their plans in ``from_numeric`` (sharing
+        # every index array / flat-gather cache / record table); bind the
+        # refreshed transfers.
+        refresh_plans(refreshed, hierarchy)
         fine_nnz = sum(lv.A.nnz for lv in new_levels[:-1])
         count(
             "resetup.smoother",

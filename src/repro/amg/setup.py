@@ -48,7 +48,7 @@ from .level import Level
 from .pmis import aggressive_pmis, pmis
 from .resetup import PlanBuilder, SetupPlan
 from .smoothers import HybridGSSmoother
-from .solveplan import attach_solve_plan
+from .solveplan import SolvePlan, attach_solve_plan
 from .strength import strength_matrix
 from .truncation import truncate_interpolation
 
@@ -75,10 +75,10 @@ class Hierarchy:
     #: the hierarchy was built with ``capture_plan=True`` (and the config
     #: is plan-capable — see :meth:`repro.amg.resetup.PlanBuilder.begin`).
     plan: SetupPlan | None = None
-    #: frozen solve-phase schedules (:class:`repro.amg.solveplan.SolvePlan`),
-    #: attached at the end of every build; execution through it is gated by
-    #: ``REPRO_SOLVEPLAN`` and bit-identical to the legacy path.
-    solve_plan: object | None = None
+    #: prebound grid transfers (:class:`repro.amg.solveplan.SolvePlan`, one
+    #: :class:`~repro.amg.solveplan.LevelExec` per transfer level), attached
+    #: at the end of every build and refresh.
+    solve_plan: SolvePlan | None = None
 
     @property
     def num_levels(self) -> int:
@@ -351,8 +351,8 @@ def build_hierarchy(
     hierarchy = Hierarchy(
         levels=levels, coarse_solver=coarse, config=config, plan=plan
     )
-    # Freeze the solve-phase schedules (compiled sweeps, prebound transfers,
-    # plan-table records).  Pure pattern arithmetic: emits no perf records.
+    # Bind the grid transfers once (the smoothers compiled their own sweep
+    # plans on construction).  Emits no perf records.
     attach_solve_plan(hierarchy)
     if checking():
         # Cross-level invariants: CF bookkeeping, P = [I; P_F], R == P^T,

@@ -34,24 +34,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, count
-from ..planexec import plan_enabled
+from ..perf.counters import IDX_BYTES, VAL_BYTES, count
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import gather_range_indices, segment_sum
 from ..sparse.transpose import balanced_nnz_partition
+from .solveplan import SmootherPlan
 
 __all__ = [
     "GSSchedule",
     "build_gs_schedule",
     "schedule_with_values",
-    "gs_sweep",
-    "gs_sweep_multi",
     "gs_sweep_reference",
     "jacobi_sweep",
     "jacobi_sweep_multi",
     "greedy_coloring",
-    "multicolor_gs_sweep",
-    "multicolor_gs_sweep_multi",
     "HybridGSSmoother",
     "block_of_rows",
 ]
@@ -261,119 +257,6 @@ def schedule_with_values(sched: GSSchedule, A: CSRMatrix) -> GSSchedule:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def gs_sweep(
-    x: np.ndarray,
-    b: np.ndarray,
-    sched: GSSchedule,
-    *,
-    optimized: bool = True,
-    zero_guess: bool = False,
-    contiguous_rows: bool = True,
-    kernel: str = "gs",
-) -> np.ndarray:
-    """One in-place hybrid-GS sweep following *sched* (returns ``x``).
-
-    ``optimized`` selects the Fig. 2(b) accounting (pre-partitioned rows, no
-    per-non-zero branch); the baseline Fig. 2(a) accounting adds one branch
-    per non-zero.  ``zero_guess`` marks a sweep whose input iterate is zero:
-    upper/external reads are skipped in the count (their contribution is
-    zero either way; the numerics are identical).
-    """
-    if sched.nrows == 0:
-        return x
-    temp = x.copy()
-    rp, ep = sched.level_row_ptr, sched.e_ptr
-    for lv in range(sched.nlevels):
-        r0, r1 = rp[lv], rp[lv + 1]
-        s = slice(ep[lv], ep[lv + 1])
-        rows = sched.rows[r0:r1]
-        cols = sched.e_cols[s]
-        src = np.where(sched.e_local[s], x[cols], temp[cols])
-        acc = b[rows] - np.bincount(
-            sched.e_out[s] - r0, weights=sched.e_vals[s] * src, minlength=r1 - r0
-        )
-        x[rows] = acc / sched.diag[r0:r1]
-
-    nnz = sched.nnz
-    m = sched.nrows
-    touched_nnz = int(sched.e_lower.sum()) + m if zero_guess else nnz
-    bytes_read = (
-        touched_nnz * (VAL_BYTES + IDX_BYTES)
-        + (m + 1) * PTR_BYTES
-        + touched_nnz * VAL_BYTES  # gathered x / temp_x
-        + m * VAL_BYTES  # b
-    )
-    bytes_written = m * VAL_BYTES
-    if not zero_guess:
-        # temp_x copy of the sweep's input vector (Fig. 2 line 1).
-        bytes_read += m * VAL_BYTES
-        bytes_written += m * VAL_BYTES
-    branches = 0.0 if optimized else float(nnz)
-    if not contiguous_rows:
-        # Baseline C-F smoothing scans all rows and tests "is i a C/F
-        # point?" per row instead of iterating contiguous ranges (§3.2).
-        branches += float(m)
-    count(kernel, flops=2 * touched_nnz + m, bytes_read=bytes_read,
-          bytes_written=bytes_written, branches=branches)
-    return x
-
-
-def gs_sweep_multi(
-    X: np.ndarray,
-    B: np.ndarray,
-    sched: GSSchedule,
-    *,
-    optimized: bool = True,
-    zero_guess: bool = False,
-    contiguous_rows: bool = True,
-    kernel: str = "gs",
-) -> np.ndarray:
-    """Blocked hybrid-GS sweep over an ``(n, k)`` iterate block (in place).
-
-    Column *j* is bit-identical to :func:`gs_sweep` on ``(X[:, j], B[:, j])``.
-    The counted traffic streams the matrix (values/indices/row pointer) and
-    executes the classification branches **once** for all *k* columns; the
-    gathered iterate, ``b``, and the written rows are charged per column.
-    """
-    if sched.nrows == 0:
-        return X
-    k = X.shape[1]
-    temp = X.copy()
-    rp, ep = sched.level_row_ptr, sched.e_ptr
-    for lv in range(sched.nlevels):
-        r0, r1 = rp[lv], rp[lv + 1]
-        s = slice(ep[lv], ep[lv + 1])
-        rows = sched.rows[r0:r1]
-        cols = sched.e_cols[s]
-        for j in range(k):
-            src = np.where(sched.e_local[s], X[cols, j], temp[cols, j])
-            acc = B[rows, j] - np.bincount(
-                sched.e_out[s] - r0, weights=sched.e_vals[s] * src, minlength=r1 - r0
-            )
-            X[rows, j] = acc / sched.diag[r0:r1]
-
-    nnz = sched.nnz
-    m = sched.nrows
-    touched_nnz = int(sched.e_lower.sum()) + m if zero_guess else nnz
-    bytes_read = (
-        touched_nnz * (VAL_BYTES + IDX_BYTES)  # matrix stream, once
-        + (m + 1) * PTR_BYTES
-        + k * touched_nnz * VAL_BYTES  # gathered x / temp_x, per column
-        + k * m * VAL_BYTES  # b
-    )
-    bytes_written = k * m * VAL_BYTES
-    if not zero_guess:
-        # temp_x copy of the sweep's input block (Fig. 2 line 1).
-        bytes_read += k * m * VAL_BYTES
-        bytes_written += k * m * VAL_BYTES
-    branches = 0.0 if optimized else float(nnz)
-    if not contiguous_rows:
-        branches += float(m)
-    count(kernel, flops=(2 * touched_nnz + m) * k, bytes_read=bytes_read,
-          bytes_written=bytes_written, branches=branches)
-    return X
-
-
 def gs_sweep_reference(
     A: CSRMatrix,
     x: np.ndarray,
@@ -503,79 +386,6 @@ def estimate_lambda_max(A: CSRMatrix, diag: np.ndarray, *, iters: int = 12,
     return 1.1 * abs(lam)
 
 
-def chebyshev_sweep(
-    A: CSRMatrix,
-    x: np.ndarray,
-    b: np.ndarray,
-    diag: np.ndarray,
-    lam_max: float,
-    *,
-    degree: int = 3,
-    lam_min_frac: float = 0.3,
-) -> np.ndarray:
-    """One degree-``degree`` Jacobi-preconditioned Chebyshev smoothing step.
-
-    Targets the interval ``[lam_min_frac * lam_max, lam_max]`` of
-    ``D^{-1} A`` — the standard polynomial smoother for highly parallel
-    machines (no sequential dependence at all).  Updates ``x`` in place.
-    """
-    from ..sparse.spmv import spmv
-
-    theta = 0.5 * (1.0 + lam_min_frac) * lam_max
-    delta = 0.5 * (1.0 - lam_min_frac) * lam_max
-    sigma = theta / delta
-    rho = 1.0 / sigma
-
-    r = b - spmv(A, x, kernel="gs.cheby_spmv")
-    d = (r / diag) / theta
-    x += d
-    for _ in range(degree - 1):
-        r = b - spmv(A, x, kernel="gs.cheby_spmv")
-        rho_new = 1.0 / (2.0 * sigma - rho)
-        d = rho_new * rho * d + (2.0 * rho_new / delta) * (r / diag)
-        x += d
-        rho = rho_new
-    count("gs.cheby_update", flops=6.0 * A.nrows * degree,
-          bytes_read=3 * A.nrows * VAL_BYTES * degree,
-          bytes_written=A.nrows * VAL_BYTES * degree)
-    return x
-
-
-def chebyshev_sweep_multi(
-    A: CSRMatrix,
-    X: np.ndarray,
-    B: np.ndarray,
-    diag: np.ndarray,
-    lam_max: float,
-    *,
-    degree: int = 3,
-    lam_min_frac: float = 0.3,
-) -> np.ndarray:
-    """Blocked Chebyshev smoothing step over ``(n, k)`` (in place)."""
-    from ..sparse.spmv import spmv_multi
-
-    k = X.shape[1]
-    theta = 0.5 * (1.0 + lam_min_frac) * lam_max
-    delta = 0.5 * (1.0 - lam_min_frac) * lam_max
-    sigma = theta / delta
-    rho = 1.0 / sigma
-    dcol = diag[:, None]
-
-    R = B - spmv_multi(A, X, kernel="gs.cheby_spmv")
-    D = (R / dcol) / theta
-    X += D
-    for _ in range(degree - 1):
-        R = B - spmv_multi(A, X, kernel="gs.cheby_spmv")
-        rho_new = 1.0 / (2.0 * sigma - rho)
-        D = rho_new * rho * D + (2.0 * rho_new / delta) * (R / dcol)
-        X += D
-        rho = rho_new
-    count("gs.cheby_update", flops=6.0 * A.nrows * degree * k,
-          bytes_read=3 * A.nrows * VAL_BYTES * degree * k,
-          bytes_written=A.nrows * VAL_BYTES * degree * k)
-    return X
-
-
 # ---------------------------------------------------------------------------
 # Multicolor GS
 # ---------------------------------------------------------------------------
@@ -625,71 +435,13 @@ def greedy_coloring(A: CSRMatrix, *, seed: int = 0, max_rounds: int = 200) -> np
     return color
 
 
-def multicolor_gs_sweep(
-    A: CSRMatrix,
-    x: np.ndarray,
-    b: np.ndarray,
-    color: np.ndarray,
-    diag: np.ndarray,
-    *,
-    forward: bool = True,
-) -> np.ndarray:
-    """One multicolor-GS sweep (in place; returns ``x``)."""
-    ncolors = int(color.max()) + 1
-    order = range(ncolors) if forward else range(ncolors - 1, -1, -1)
-    rid = A.row_ids()
-    off = A.indices != rid
-    for c in order:
-        rows = np.flatnonzero(color == c)
-        lr, cols, vals = A.row_slice_arrays(rows)
-        sel = cols != rows[lr]
-        acc = b[rows] - np.bincount(lr[sel], weights=vals[sel] * x[cols[sel]],
-                                    minlength=len(rows))
-        x[rows] = acc / diag[rows]
-    count(
-        "gs.multicolor",
-        flops=2 * A.nnz,
-        bytes_read=A.nnz * (2 * VAL_BYTES + IDX_BYTES) + ncolors * A.nrows * PTR_BYTES,
-        bytes_written=A.nrows * VAL_BYTES,
-    )
-    return x
-
-
-def multicolor_gs_sweep_multi(
-    A: CSRMatrix,
-    X: np.ndarray,
-    B: np.ndarray,
-    color: np.ndarray,
-    diag: np.ndarray,
-    *,
-    forward: bool = True,
-) -> np.ndarray:
-    """Blocked multicolor-GS sweep over ``(n, k)`` (in place)."""
-    k = X.shape[1]
-    ncolors = int(color.max()) + 1
-    order = range(ncolors) if forward else range(ncolors - 1, -1, -1)
-    for c in order:
-        rows = np.flatnonzero(color == c)
-        lr, cols, vals = A.row_slice_arrays(rows)
-        sel = cols != rows[lr]
-        for j in range(k):
-            acc = B[rows, j] - np.bincount(
-                lr[sel], weights=vals[sel] * X[cols[sel], j], minlength=len(rows)
-            )
-            X[rows, j] = acc / diag[rows]
-    count(
-        "gs.multicolor",
-        flops=2 * A.nnz * k,
-        bytes_read=A.nnz * (VAL_BYTES + IDX_BYTES) + ncolors * A.nrows * PTR_BYTES
-        + k * A.nnz * VAL_BYTES,
-        bytes_written=A.nrows * VAL_BYTES * k,
-    )
-    return X
-
-
 # ---------------------------------------------------------------------------
 # Smoother object used by the AMG hierarchy
 # ---------------------------------------------------------------------------
+
+#: Variants without a compiled plan: their sweeps are one SpMV and one
+#: update each, already single vectorized kernels.
+_UNPLANNED = ("jacobi", "l1_jacobi")
 
 class HybridGSSmoother:
     """Per-level smoother with C-F ordering (§3.2).
@@ -733,42 +485,36 @@ class HybridGSSmoother:
         n = A.nrows
         self._schedules: dict[tuple[str, bool], GSSchedule] = {}
         self.color: np.ndarray | None = None
-        #: Compiled solve plan (:class:`repro.amg.solveplan.SmootherPlan`),
-        #: attached by ``attach_solve_plan``; ``None`` = legacy execution.
-        self._plan = None
+        self.groups: list[np.ndarray] = []
 
-        if variant == "jacobi":
-            self.groups: list[np.ndarray] = []
-            return
         if variant == "l1_jacobi":
-            self.groups = []
             self.l1diag = l1_diagonal(A)
-            return
-        if variant == "chebyshev":
-            self.groups = []
+        elif variant == "chebyshev":
             self.lam_max = estimate_lambda_max(A, self.diag, seed=seed)
-            return
-        if variant == "multicolor":
+        elif variant == "multicolor":
             self.color = greedy_coloring(A, seed=seed)
             count("gs.coloring_setup", bytes_read=2 * A.nnz * IDX_BYTES,
                   branches=float(A.nnz), phase="Setup_etc")
-            return
-
-        if cf_marker is not None:
-            c_rows = np.flatnonzero(np.asarray(cf_marker) > 0)
-            f_rows = np.flatnonzero(np.asarray(cf_marker) <= 0)
-            self.groups = [c_rows, f_rows]
-        else:
-            self.groups = [np.arange(n, dtype=np.int64)]
-
-        for gi, rows in enumerate(self.groups):
-            blk = block_of_rows(n, self.nthreads, A, rows)
-            for fwd in (True, False):
-                self._schedules[(f"g{gi}", fwd)] = build_gs_schedule(A, blk, forward=fwd)
-        if variant == "lex":
-            # Dependency-graph construction cost of level scheduling [38].
-            count("gs.lex_schedule_setup", bytes_read=2 * A.nnz * IDX_BYTES,
-                  branches=float(A.nnz), phase="Setup_etc")
+        elif variant != "jacobi":
+            if cf_marker is not None:
+                c_rows = np.flatnonzero(np.asarray(cf_marker) > 0)
+                f_rows = np.flatnonzero(np.asarray(cf_marker) <= 0)
+                self.groups = [c_rows, f_rows]
+            else:
+                self.groups = [np.arange(n, dtype=np.int64)]
+            for gi, rows in enumerate(self.groups):
+                blk = block_of_rows(n, self.nthreads, A, rows)
+                for fwd in (True, False):
+                    self._schedules[(f"g{gi}", fwd)] = build_gs_schedule(
+                        A, blk, forward=fwd)
+            if variant == "lex":
+                # Dependency-graph construction cost of level scheduling [38].
+                count("gs.lex_schedule_setup", bytes_read=2 * A.nnz * IDX_BYTES,
+                      branches=float(A.nnz), phase="Setup_etc")
+        #: Compiled execution plan (:class:`repro.amg.solveplan.SmootherPlan`);
+        #: ``None`` only for the Jacobi family, whose sweeps are single
+        #: vectorized kernels already.
+        self._plan = None if variant in _UNPLANNED else SmootherPlan(self)
 
     @classmethod
     def from_numeric(cls, old: "HybridGSSmoother", A: CSRMatrix) -> "HybridGSSmoother":
@@ -789,83 +535,47 @@ class HybridGSSmoother:
         new.nthreads = old.nthreads
         new.seed = old.seed
         new.diag = A.diagonal()
-        new._schedules = {}
         new.color = old.color
-        new._plan = None
         new.groups = old.groups
-        if old.variant in ("jacobi", "multicolor"):
-            return new
         if old.variant == "l1_jacobi":
             new.l1diag = l1_diagonal(A)
-            return new
-        if old.variant == "chebyshev":
+        elif old.variant == "chebyshev":
             # Value-dependent: the power iteration must re-run (same seed
             # => same result as a from-scratch rebuild).
             new.lam_max = estimate_lambda_max(A, new.diag, seed=old.seed)
-            return new
-        for key, sched in old._schedules.items():
-            if sched.e_entry is not None:
-                new._schedules[key] = schedule_with_values(sched, A)
-            else:
-                gi = int(key[0][1:])
-                blk = block_of_rows(A.nrows, new.nthreads, A, old.groups[gi])
-                new._schedules[key] = build_gs_schedule(A, blk, forward=key[1])
+        new._schedules = {key: schedule_with_values(sched, A)
+                          for key, sched in old._schedules.items()}
+        new._plan = None if old._plan is None else old._plan.with_values(new)
         return new
-
-    # -- sweeps ----------------------------------------------------------
-    def _sweep_groups(self, x, b, group_order, forward, zero_guess):
-        for gi in group_order:
-            sched = self._schedules[(f"g{gi}", forward)]
-            gs_sweep(x, b, sched, optimized=self.optimized,
-                     zero_guess=zero_guess, kernel="gs.hybrid",
-                     contiguous_rows=self.cf_contiguous)
-            zero_guess = False  # only the very first sub-sweep sees zeros
-        return x
-
-    def _sweep_groups_multi(self, X, B, group_order, forward, zero_guess):
-        for gi in group_order:
-            sched = self._schedules[(f"g{gi}", forward)]
-            gs_sweep_multi(X, B, sched, optimized=self.optimized,
-                           zero_guess=zero_guess, kernel="gs.hybrid",
-                           contiguous_rows=self.cf_contiguous)
-            zero_guess = False
-        return X
 
     #: Damping for the Jacobi variant (omega = 2/3, the standard choice that
     #: makes Jacobi an actual smoother on Poisson-like operators).
     JACOBI_WEIGHT = 2.0 / 3.0
 
+    def _jacobi(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.variant == "jacobi":
+            return jacobi_sweep(self.A, x, b, self.diag, weight=self.JACOBI_WEIGHT)
+        return l1_jacobi_sweep(self.A, x, b, self.l1diag)
+
+    def _jacobi_multi(self, X: np.ndarray, B: np.ndarray) -> np.ndarray:
+        if self.variant == "jacobi":
+            return jacobi_sweep_multi(self.A, X, B, self.diag,
+                                      weight=self.JACOBI_WEIGHT)
+        return l1_jacobi_sweep_multi(self.A, X, B, self.l1diag)
+
     def presmooth(self, x: np.ndarray, b: np.ndarray, *, zero_guess: bool = False) -> np.ndarray:
         """Forward sweep, C points first (updates ``x`` in place)."""
-        if self._plan is not None and plan_enabled():
-            return self._plan.presmooth(x, b, zero_guess=zero_guess)
-        if self.variant == "jacobi":
-            x[:] = jacobi_sweep(self.A, x, b, self.diag, weight=self.JACOBI_WEIGHT)
+        if self._plan is None:
+            x[:] = self._jacobi(x, b)
             return x
-        if self.variant == "l1_jacobi":
-            x[:] = l1_jacobi_sweep(self.A, x, b, self.l1diag)
-            return x
-        if self.variant == "chebyshev":
-            return chebyshev_sweep(self.A, x, b, self.diag, self.lam_max)
-        if self.variant == "multicolor":
-            return multicolor_gs_sweep(self.A, x, b, self.color, self.diag, forward=True)
-        return self._sweep_groups(x, b, range(len(self.groups)), True, zero_guess)
+        return self._plan.presmooth(x, b, zero_guess=zero_guess)
 
     def postsmooth(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Backward sweep, F points first (updates ``x`` in place)."""
-        if self._plan is not None and plan_enabled():
-            return self._plan.postsmooth(x, b)
-        if self.variant == "jacobi":
-            x[:] = jacobi_sweep(self.A, x, b, self.diag, weight=self.JACOBI_WEIGHT)
+        if self._plan is None:
+            x[:] = self._jacobi(x, b)
             return x
-        if self.variant == "l1_jacobi":
-            x[:] = l1_jacobi_sweep(self.A, x, b, self.l1diag)
-            return x
-        if self.variant == "chebyshev":
-            return chebyshev_sweep(self.A, x, b, self.diag, self.lam_max)
-        if self.variant == "multicolor":
-            return multicolor_gs_sweep(self.A, x, b, self.color, self.diag, forward=False)
-        return self._sweep_groups(x, b, range(len(self.groups) - 1, -1, -1), False, False)
+        return self._plan.postsmooth(x, b)
 
     # -- blocked sweeps (multiple RHS) ------------------------------------
     def presmooth_multi(self, X: np.ndarray, B: np.ndarray, *,
@@ -875,38 +585,14 @@ class HybridGSSmoother:
         Column *j* reproduces :meth:`presmooth` on ``(X[:, j], B[:, j])``
         exactly; the counted matrix stream is shared across columns.
         """
-        if self._plan is not None and plan_enabled():
-            return self._plan.presmooth_multi(X, B, zero_guess=zero_guess)
-        if self.variant == "jacobi":
-            X[:] = jacobi_sweep_multi(self.A, X, B, self.diag,
-                                      weight=self.JACOBI_WEIGHT)
+        if self._plan is None:
+            X[:] = self._jacobi_multi(X, B)
             return X
-        if self.variant == "l1_jacobi":
-            X[:] = l1_jacobi_sweep_multi(self.A, X, B, self.l1diag)
-            return X
-        if self.variant == "chebyshev":
-            return chebyshev_sweep_multi(self.A, X, B, self.diag, self.lam_max)
-        if self.variant == "multicolor":
-            return multicolor_gs_sweep_multi(self.A, X, B, self.color, self.diag,
-                                             forward=True)
-        return self._sweep_groups_multi(X, B, range(len(self.groups)), True,
-                                        zero_guess)
+        return self._plan.presmooth_multi(X, B, zero_guess=zero_guess)
 
     def postsmooth_multi(self, X: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Blocked backward sweep over an ``(n, k)`` iterate block."""
-        if self._plan is not None and plan_enabled():
-            return self._plan.postsmooth_multi(X, B)
-        if self.variant == "jacobi":
-            X[:] = jacobi_sweep_multi(self.A, X, B, self.diag,
-                                      weight=self.JACOBI_WEIGHT)
+        if self._plan is None:
+            X[:] = self._jacobi_multi(X, B)
             return X
-        if self.variant == "l1_jacobi":
-            X[:] = l1_jacobi_sweep_multi(self.A, X, B, self.l1diag)
-            return X
-        if self.variant == "chebyshev":
-            return chebyshev_sweep_multi(self.A, X, B, self.diag, self.lam_max)
-        if self.variant == "multicolor":
-            return multicolor_gs_sweep_multi(self.A, X, B, self.color, self.diag,
-                                             forward=False)
-        return self._sweep_groups_multi(X, B, range(len(self.groups) - 1, -1, -1),
-                                        False, False)
+        return self._plan.postsmooth_multi(X, B)

@@ -3,30 +3,29 @@
 The solve phase runs the same kernels thousands of times over *frozen*
 sparsity: every GS sweep follows the same wavefront schedule, every
 restriction multiplies the same ``P_F``, every counter records traffic that
-is a pure function of the pattern.  :func:`attach_solve_plan` therefore
-precomputes, once per hierarchy,
+is a pure function of the pattern.  This module therefore precomputes
 
 * **compiled GS sweeps** (:class:`CompiledSweep`): per wavefront level, the
   fused gather index into a ``[live x | sweep-start snapshot]`` workspace
-  (replacing the per-sweep ``np.where`` classification), local segment ids,
-  and value/diagonal views — plus *zero-start* variants that skip the
-  entries whose source value is identically zero during the first visit of
-  a level (the executed arithmetic drops exactly the terms §3.2 already
-  excludes from the *count*, so iterates stay bit-identical);
+  (no per-sweep in-block/external classification), local segment ids, and
+  value/diagonal views — plus *zero-start* variants that skip the entries
+  whose source value is identically zero during the first visit of a level
+  (the executed arithmetic drops exactly the terms §3.2 already excludes
+  from the *count*, so iterates are unchanged);
 * **multicolor / Chebyshev plans** with the per-color gathers frozen;
-* **prebound grid transfers** (:class:`LevelExec`): the flag dispatch of
-  :meth:`repro.amg.level.Level.restrict` resolved once per level;
+* **prebound grid transfers** (:class:`LevelExec`): the restrict/interpolate
+  strategy resolved once per level — the only place that decides it;
 * **plan-table records**: each kernel invocation's traffic
   (:class:`repro.perf.counters.KernelRecord`) built once from the pattern
-  and appended per invocation via ``count_record`` — the record *stream* is
-  identical to the legacy per-call ``count()`` arithmetic.
+  and appended per invocation via ``count_record``.
 
-Execution through the plan is gated by ``REPRO_SOLVEPLAN``
-(:func:`repro.planexec.plan_enabled`); the legacy path is kept both as the
-wall-clock baseline and as the bit-identity oracle for the tests.  Plans
-hold only pattern-derived arrays and value *views*; :func:`refresh_plans`
-rebuilds just the numeric parts (value gathers) for a same-pattern refresh,
-reusing every index array of the old plan.
+Every :class:`~repro.amg.smoothers.HybridGSSmoother` outside the Jacobi
+family builds its :class:`SmootherPlan` on construction and rebinds it to
+new values on a same-pattern refresh (:meth:`SmootherPlan.with_values`,
+which reuses every index array); :func:`attach_solve_plan` and
+:func:`refresh_plans` build a hierarchy's :class:`LevelExec` table.  The
+compiled sweeps are checked against the literal Fig. 2a loop
+(:func:`repro.amg.smoothers.gs_sweep_reference`) in the tests.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "SmootherPlan",
     "LevelExec",
     "SolvePlan",
-    "compile_smoother_plan",
     "attach_solve_plan",
     "refresh_plans",
 ]
@@ -80,8 +78,7 @@ class CompiledSweep:
     The sweep runs over a ``2n`` workspace ``[live x | sweep-start copy]``:
     entry sources are pre-resolved to ``col`` (in-block, live) or ``col + n``
     (external, snapshot), so each level is six vectorized calls with no
-    per-sweep classification.  Bit-identical to :func:`repro.amg.smoothers.
-    gs_sweep` (same ``np.bincount`` accumulation order, same divisions).
+    per-sweep classification.
     """
 
     def __init__(self, sched, n: int, *, optimized: bool, contiguous_rows: bool,
@@ -138,8 +135,14 @@ class CompiledSweep:
 
     # -- counting ---------------------------------------------------------
     def record(self, k: int, zero_guess: bool) -> KernelRecord:
-        """The :func:`repro.amg.smoothers.gs_sweep`/``_multi`` record for a
-        width-*k* sweep (``k=0`` = single RHS), built once per (k, flag)."""
+        """The record of a width-*k* sweep (``k=0`` = single RHS), built once
+        per (k, flag).
+
+        ``zero_guess`` charges only the lower-triangle reads (the rest read
+        zeros, §3.2) and drops the ``temp_x`` copy; ``optimized=False``
+        (Fig. 2a) adds one branch per non-zero, and non-contiguous C/F rows
+        add one classification branch per row.
+        """
         key = (k, zero_guess)
         rec = self._rec.get(key)
         if rec is None:
@@ -306,7 +309,7 @@ class MulticolorPlan:
         self._flats: dict[tuple[int, int], np.ndarray] = {}
 
     def record(self, k: int) -> KernelRecord:
-        """The legacy ``gs.multicolor`` record (``k=0`` = single RHS)."""
+        """The ``gs.multicolor`` record (``k=0`` = single RHS)."""
         rec = self._rec.get(k)
         if rec is None:
             if k == 0:
@@ -456,14 +459,14 @@ class SmootherPlan:
     """Planned execution of one :class:`~repro.amg.smoothers.HybridGSSmoother`.
 
     Holds the compiled sweeps of each (group, direction) schedule plus the
-    variant-specific plans; the smoother delegates here when the plan gate
-    is on.  Jacobi-family variants have no plan (already single-call
-    vectorized kernels) and never reach this object.
+    variant-specific plans; the smoother delegates every sweep here.
+    Jacobi-family variants have no plan (already single-call vectorized
+    kernels) and never reach this object.
     """
 
     def __init__(self, smoother) -> None:
         self.variant = smoother.variant
-        self.ngroups = len(getattr(smoother, "groups", []))
+        self.ngroups = len(smoother.groups)
         self.sweeps: dict[tuple[int, bool], CompiledSweep | None] = {}
         self.mc: MulticolorPlan | None = None
         self.cheby: ChebyPlan | None = None
@@ -495,7 +498,7 @@ class SmootherPlan:
     def sweep_groups(self, x, b, group_order, forward, zero_guess):
         # ``zero_guess`` is the caller's promise that the iterate is
         # identically zero at pass start: the first group's sweep is
-        # *counted* with the §3.2 skip (legacy accounting), and every
+        # *counted* with the §3.2 skip, and every
         # group's *execution* may drop the reads that are still zero.
         zero_exec = zero_guess and forward
         for gi in group_order:
@@ -575,39 +578,14 @@ class SmootherPlan:
         return new
 
 
-def compile_smoother_plan(smoother) -> None:
-    """Attach a :class:`SmootherPlan` to *smoother* (idempotent, silent).
-
-    Jacobi-family variants are left unplanned: their sweeps are already
-    single vectorized kernels with one record each.
-    """
-    if smoother is None or smoother.variant in ("jacobi", "l1_jacobi"):
-        return
-    if getattr(smoother, "_plan", None) is None:
-        smoother._plan = SmootherPlan(smoother)
-
-
-def refresh_smoother_plan(new_smoother, old_smoother) -> None:
-    """Numeric-only plan rebuild for a same-pattern refreshed smoother."""
-    if new_smoother is None or new_smoother.variant in ("jacobi", "l1_jacobi"):
-        return
-    old_plan = getattr(old_smoother, "_plan", None) if old_smoother is not None else None
-    if old_plan is not None:
-        new_smoother._plan = old_plan.with_values(new_smoother)
-    else:
-        compile_smoother_plan(new_smoother)
-
-
 # ---------------------------------------------------------------------------
 # Per-level prebound grid transfers
 # ---------------------------------------------------------------------------
 
 class LevelExec:
     """Level *l*'s solve-phase bindings: the restrict/interpolate strategy
-    dispatch of :class:`~repro.amg.level.Level` resolved once at plan time.
-
-    The bound kernels are the same instrumented functions the legacy
-    dispatch reaches, so the record stream is unchanged.
+    (identity-block ``P_F`` when CF-reordered, else a kept ``R`` or a
+    transposed ``P``) resolved once at plan time.
     """
 
     __slots__ = ("restrict", "interpolate", "restrict_multi", "interpolate_multi")
@@ -649,26 +627,19 @@ class SolvePlan:
 
 
 def attach_solve_plan(hierarchy) -> None:
-    """Compile and attach the solve plan of *hierarchy* (silent: emits no
-    perf records — all tables are pattern arithmetic done once)."""
+    """Build and attach the :class:`LevelExec` table of *hierarchy* (silent:
+    emits no perf records — binding the transfers is done once)."""
     flags = hierarchy.config.flags
-    execs = []
-    for lvl in hierarchy.levels[:-1]:
-        compile_smoother_plan(lvl.smoother)
-        execs.append(LevelExec(lvl, flags))
-    last = hierarchy.levels[-1]
-    if last.smoother is not None:
-        compile_smoother_plan(last.smoother)
-    hierarchy.solve_plan = SolvePlan(execs)
+    hierarchy.solve_plan = SolvePlan(
+        [LevelExec(lvl, flags) for lvl in hierarchy.levels[:-1]])
 
 
 def refresh_plans(new_hierarchy, old_hierarchy) -> None:
-    """Attach plans to a refreshed hierarchy, rebuilding only the numeric
-    parts (value/diagonal gathers); every index array, flat-gather cache,
-    and plan-table record is shared with the old hierarchy's plan."""
-    flags = new_hierarchy.config.flags
-    execs = []
-    for new_lvl, old_lvl in zip(new_hierarchy.levels[:-1], old_hierarchy.levels):
-        refresh_smoother_plan(new_lvl.smoother, old_lvl.smoother)
-        execs.append(LevelExec(new_lvl, flags))
-    new_hierarchy.solve_plan = SolvePlan(execs)
+    """Attach the :class:`LevelExec` table of a refreshed hierarchy.
+
+    The smoothers already rebound their plans to the new values
+    (:meth:`~repro.amg.smoothers.HybridGSSmoother.from_numeric`); the
+    transfers bind the refreshed ``P``/``P_F``/``R`` of *new_hierarchy*,
+    which share their patterns with *old_hierarchy*'s.
+    """
+    attach_solve_plan(new_hierarchy)

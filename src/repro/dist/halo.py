@@ -36,7 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf.counters import VAL_BYTES, KernelRecord, count, count_record, make_record
-from ..planexec import plan_enabled
 from .comm import NodeAwareExchange, PersistentExchange, SimComm
 from .parcsr import ParCSRMatrix, ParVector
 
@@ -75,6 +74,8 @@ class HaloExchange:
         self._ext_n = [sum(len(ids) for _, ids in plan)
                        for plan in self.recv_plan]
         self._pack_recs: dict[int, list[KernelRecord]] = {}
+        #: ``dist_residual_norm``'s per-rank records, keyed on ``fused``.
+        self._resnorm_recs: dict[bool, list[list[KernelRecord]]] = {}
 
         # Node-aware 3-step aggregation (repro.topo): adopted only when the
         # modeled two-tier time beats the flat schedule; ppn=1 and losing
@@ -144,17 +145,14 @@ class HaloExchange:
         else:
             for (src, dst), n in self.pattern.items():
                 self.comm.log_message(src, dst, n * width * VAL_BYTES, tag="halo")
-        pack_recs = None
-        if plan_enabled():
-            pack_recs = self._pack_recs.get(width)
-            if pack_recs is None:
-                pack_recs = [
-                    make_record("halo.pack_unpack",
-                                bytes_read=n * width * VAL_BYTES,
-                                bytes_written=n * width * VAL_BYTES)
-                    for n in self._ext_n
-                ]
-                self._pack_recs[width] = pack_recs
+        pack_recs = self._pack_recs.get(width)
+        if pack_recs is None:
+            pack_recs = self._pack_recs[width] = [
+                make_record("halo.pack_unpack",
+                            bytes_read=n * width * VAL_BYTES,
+                            bytes_written=n * width * VAL_BYTES)
+                for n in self._ext_n
+            ]
         ext = []
         for p in range(self.comm.nranks):
             pieces = [x.parts[q][ids] for q, ids in self.recv_plan[p]]
@@ -168,12 +166,7 @@ class HaloExchange:
                            else np.empty(0, dtype=dtype))
             # Sender-side pack + receiver-side unpack traffic.
             with self.comm.on_rank(p):
-                if pack_recs is not None:
-                    count_record(pack_recs[p])
-                else:
-                    n = len(ext[-1])
-                    count("halo.pack_unpack", bytes_read=n * width * VAL_BYTES,
-                          bytes_written=n * width * VAL_BYTES)
+                count_record(pack_recs[p])
         return ext
 
 

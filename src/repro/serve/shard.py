@@ -88,7 +88,7 @@ from ..results import ServiceResult
 from .health import DOWN, REJOINING, UP, HealthTracker
 from .metrics import ShardMetrics
 from .request import Ticket
-from .service import ServiceConfig, SolveService, resolve_service_config
+from .service import ServiceConfig, SolveService
 from .workload import Workload
 
 __all__ = ["HashRing", "ShardTicket", "ShardedSolveService"]
@@ -199,20 +199,15 @@ class ShardedSolveService:
         res = svc.result(t)             # res.rank / res.home_rank / net_seconds
         print(svc.metrics_json())       # sharded + per-rank report
 
-    The constructor accepts the same deprecated per-field keywords as
-    :class:`~repro.serve.service.SolveService` (shimmed through
-    :func:`~repro.serve.service.resolve_service_config`).  All ranks share
-    one ``ServiceConfig`` and one AMG config, so a fingerprint computed on
+    All ranks share one ``ServiceConfig`` and one AMG config, so a fingerprint computed on
     any rank is valid on every rank.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *,
                  amg_config: AMGConfig | None = None,
                  network: NetworkModel | None = None,
-                 fault_plan: ShardFaultPlan | None = None,
-                 **legacy) -> None:
-        self.config = resolve_service_config(config, legacy,
-                                             "ShardedSolveService")
+                 fault_plan: ShardFaultPlan | None = None) -> None:
+        self.config = config if config is not None else ServiceConfig()
         self.amg_config = amg_config or single_node_config(
             nthreads=self.config.threads)
         self.network = network or FDRInfinibandModel()

@@ -11,7 +11,6 @@ from repro.amg import (
     C_PT,
     F_PT,
     build_hierarchy,
-    chebyshev_sweep,
     classical_interpolation,
     cycle,
     estimate_lambda_max,
@@ -24,6 +23,7 @@ from repro.amg import (
     vcycle,
     wcycle,
 )
+from repro.amg.solveplan import ChebyPlan
 from repro.krylov import bicgstab
 from repro.problems import laplace_2d_5pt, laplace_3d_7pt
 from repro.sparse import CSRMatrix, transpose
@@ -187,9 +187,10 @@ class TestNewSmoothers:
         A = laplace_2d_5pt(12)
         b = rng.standard_normal(A.nrows)
         lam = estimate_lambda_max(A, A.diagonal())
+        plan = ChebyPlan(A, A.diagonal(), lam)
         x = np.zeros(A.nrows)
         for _ in range(10):
-            chebyshev_sweep(A, x, b, A.diagonal(), lam)
+            plan.run(x, b)
         assert np.linalg.norm(b - spmv(A, x)) < 0.5 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("sm", ["l1_jacobi", "chebyshev"])

@@ -182,7 +182,7 @@ class TestHierarchyCache:
         assert (cache.hits, cache.misses) == (0, 2)
 
     def test_lru_eviction(self):
-        cache = HierarchyCache(maxsize=2)
+        cache = HierarchyCache(max_entries=2)
         cfg = single_node_config()
         mats = [random_csr(30, 30, seed=s, spd=True) for s in range(3)]
         for A in mats:

@@ -9,12 +9,12 @@ from repro.amg import (
     build_gs_schedule,
     extended_i_interpolation,
     greedy_coloring,
-    gs_sweep,
     gs_sweep_reference,
     pmis,
     strength_matrix,
     truncate_interpolation,
 )
+from repro.amg.solveplan import CompiledSweep
 from repro.sparse import CSRMatrix
 from repro.sparse.spmv import spmv
 
@@ -23,6 +23,11 @@ COMMON = dict(
     max_examples=20,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def _compiled(sched, n):
+    return CompiledSweep(sched, n, optimized=True, contiguous_rows=True,
+                         kernel="gs.hybrid")
 
 
 def random_spd(n, seed, density=0.3):
@@ -47,7 +52,7 @@ class TestGSProperties:
         blk = block_of_rows(n, nblocks, A)
         x1 = rng.standard_normal(n)
         x2 = x1.copy()
-        gs_sweep(x1, b, build_gs_schedule(A, blk, forward=forward))
+        _compiled(build_gs_schedule(A, blk, forward=forward), n).run(x1, b)
         gs_sweep_reference(A, x2, b, blk, forward=forward)
         np.testing.assert_allclose(x1, x2, atol=1e-10)
 
@@ -62,8 +67,8 @@ class TestGSProperties:
         b = spmv(A, x_star)
         x = np.zeros(n)
         blk = block_of_rows(n, 1, A)
-        fs = build_gs_schedule(A, blk, forward=True)
-        bs = build_gs_schedule(A, blk, forward=False)
+        fs = _compiled(build_gs_schedule(A, blk, forward=True), n)
+        bs = _compiled(build_gs_schedule(A, blk, forward=False), n)
         dense = A.to_dense()
 
         def a_norm(e):
@@ -71,8 +76,8 @@ class TestGSProperties:
 
         e0 = a_norm(x - x_star)
         for _ in range(3):
-            gs_sweep(x, b, fs)
-            gs_sweep(x, b, bs)
+            fs.run(x, b)
+            bs.run(x, b)
         assert a_norm(x - x_star) <= e0 * (1 + 1e-10)
 
 

@@ -312,12 +312,10 @@ class TestHierarchyCacheBound:
             cache.get_or_build(laplace_2d_5pt(7), cfg)
         assert any("evicted hierarchy" in r.message for r in caplog.records)
 
-    def test_maxsize_spelling_still_works(self):
+    def test_maxsize_spelling_is_rejected(self):
         from repro.amg.cache import HierarchyCache
 
-        cache = HierarchyCache(maxsize=3)
-        assert cache.max_entries == 3 and cache.maxsize == 3
+        with pytest.raises(TypeError, match="maxsize"):
+            HierarchyCache(maxsize=3)
         with pytest.raises(ValueError):
             HierarchyCache(max_entries=0)
-        with pytest.raises(ValueError):
-            HierarchyCache(max_entries=2, maxsize=3)

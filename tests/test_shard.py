@@ -15,15 +15,12 @@ top-level ``__all__``.
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import repro
 from repro.api import SolveOptions, setup, solve, solve_many
-from repro.analysis.lint import SERVICE_CONFIG_FIELDS, run_lint
 from repro.problems import laplace_2d_5pt
 from repro.serve import (
     HashRing,
@@ -304,7 +301,7 @@ def test_shard_metrics_json_is_sorted_and_stable():
 
 
 # ---------------------------------------------------------------------------
-# ServiceConfig consolidation and the deprecation shim
+# ServiceConfig consolidation
 # ---------------------------------------------------------------------------
 
 def test_service_config_validates_shard_fields():
@@ -320,41 +317,11 @@ def test_service_config_validates_shard_fields():
         ServiceConfig(scale_up_depth=1.0, scale_down_depth=2.0)
 
 
-@pytest.mark.parametrize("cls", [SolveService, ShardedSolveService])
-def test_legacy_keywords_warn_and_fold_into_config(cls):
-    with pytest.warns(DeprecationWarning, match="ServiceConfig"):
-        svc = cls(max_batch=3, max_queue=17)
-    assert svc.config.max_batch == 3
-    assert svc.config.max_queue == 17
-
-
 def test_legacy_keywords_conflict_with_config_object():
-    with pytest.raises(TypeError, match="not both"):
-        SolveService(ServiceConfig(), max_batch=3)
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        ShardedSolveService(max_batchez=3)
-
-
-def test_lint_field_list_matches_service_config():
-    assert SERVICE_CONFIG_FIELDS == frozenset(
-        f.name for f in fields(ServiceConfig))
-
-
-def test_use_config_objects_lint_rule(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "from repro.serve import ShardedSolveService, SolveService\n"
-        "svc = SolveService(max_batch=4)\n"
-        "sh = ShardedSolveService(ranks=2, replicas=2)\n")
-    findings = run_lint([bad], rules={"use-config-objects"})
-    assert len(findings) == 2
-    assert all(f.rule == "use-config-objects" for f in findings)
-    assert "ServiceConfig" in findings[0].message
-    good = tmp_path / "good.py"
-    good.write_text(
-        "from repro.serve import ServiceConfig, SolveService\n"
-        "svc = SolveService(ServiceConfig(max_batch=4))\n")
-    assert run_lint([good], rules={"use-config-objects"}) == []
+    """The per-field keywords are gone: ``ServiceConfig`` is the only way."""
+    for cls in (SolveService, ShardedSolveService):
+        with pytest.raises(TypeError, match="max_batch"):
+            cls(max_batch=3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Unit tests for the smoothers (§3.2, Fig. 2)."""
+"""Unit tests for the smoothers (§3.2, Fig. 2).
+
+The production sweeps are the compiled plans of
+:mod:`repro.amg.solveplan`; they are checked here against the literal
+sequential Fig. 2a loop (:func:`gs_sweep_reference`).
+"""
 
 import numpy as np
 import pytest
@@ -8,16 +13,21 @@ from repro.amg import (
     block_of_rows,
     build_gs_schedule,
     greedy_coloring,
-    gs_sweep,
     gs_sweep_reference,
     jacobi_sweep,
-    multicolor_gs_sweep,
     pmis,
     strength_matrix,
 )
+from repro.amg.solveplan import CompiledSweep, MulticolorPlan
 from repro.perf import collect
+from repro.perf.counters import phase
 from repro.problems import laplace_2d_5pt, laplace_3d_7pt
 from repro.sparse.spmv import spmv
+
+
+def _compiled(A, sched):
+    return CompiledSweep(sched, A.nrows, optimized=True, contiguous_rows=True,
+                         kernel="gs.hybrid")
 
 
 class TestScheduleCorrectness:
@@ -30,7 +40,7 @@ class TestScheduleCorrectness:
         x1 = rng.standard_normal(A.nrows)
         x2 = x1.copy()
         sched = build_gs_schedule(A, blk, forward=forward)
-        gs_sweep(x1, b, sched)
+        _compiled(A, sched).run(x1, b)
         gs_sweep_reference(A, x2, b, blk, forward=forward)
         np.testing.assert_allclose(x1, x2, atol=1e-12)
 
@@ -42,7 +52,7 @@ class TestScheduleCorrectness:
         b = rng.standard_normal(A.nrows)
         x1 = rng.standard_normal(A.nrows)
         x2 = x1.copy()
-        gs_sweep(x1, b, build_gs_schedule(A, blk, forward=True))
+        _compiled(A, build_gs_schedule(A, blk, forward=True)).run(x1, b)
         gs_sweep_reference(A, x2, b, blk, forward=True)
         np.testing.assert_allclose(x1, x2, atol=1e-12)
 
@@ -65,42 +75,61 @@ class TestScheduleCorrectness:
         sched = build_gs_schedule(A, np.full(A.nrows, -1, dtype=np.int64))
         assert sched.nrows == 0
         x = np.ones(A.nrows)
-        gs_sweep(x, np.ones(A.nrows), sched)
+        _compiled(A, sched).run(x, np.ones(A.nrows))
         np.testing.assert_allclose(x, 1.0)
 
 
 class TestSweeps:
     def test_zero_guess_numerics_identical(self, rng):
         A = laplace_2d_5pt(8)
+        cf = pmis(strength_matrix(A, 0.25), seed=0)
+        sm = HybridGSSmoother(A, nthreads=4, cf_marker=cf)
         b = rng.standard_normal(A.nrows)
-        blk = block_of_rows(A.nrows, 4, A)
-        sched = build_gs_schedule(A, blk)
         x1 = np.zeros(A.nrows)
         x2 = np.zeros(A.nrows)
-        gs_sweep(x1, b, sched, zero_guess=True)
-        gs_sweep(x2, b, sched, zero_guess=False)
-        np.testing.assert_allclose(x1, x2)
+        sm.presmooth(x1, b, zero_guess=True)
+        sm.presmooth(x2, b, zero_guess=False)
+        np.testing.assert_array_equal(x1, x2)
+
+    def test_cf_presmooth_matches_sequential_reference(self, rng):
+        """C rows then F rows, each a literal Fig. 2a sweep over its group."""
+        A = laplace_2d_5pt(9)
+        cf = pmis(strength_matrix(A, 0.25), seed=0)
+        sm = HybridGSSmoother(A, nthreads=3, cf_marker=cf)
+        b = rng.standard_normal(A.nrows)
+        x = np.zeros(A.nrows)
+        sm.presmooth(x, b, zero_guess=True)
+        ref = np.zeros(A.nrows)
+        for rows in sm.groups:
+            gs_sweep_reference(A, ref, b, block_of_rows(A.nrows, 3, A, rows))
+        np.testing.assert_allclose(x, ref, atol=1e-12)
 
     def test_zero_guess_counts_less(self, rng):
         A = laplace_2d_5pt(8)
         b = rng.standard_normal(A.nrows)
-        sched = build_gs_schedule(A, block_of_rows(A.nrows, 4, A))
-        with collect() as lz:
-            gs_sweep(np.zeros(A.nrows), b, sched, zero_guess=True)
-        with collect() as ln:
-            gs_sweep(np.zeros(A.nrows), b, sched, zero_guess=False)
+        sm = HybridGSSmoother(A, nthreads=4)
+        cs = sm._plan.sweeps[(0, True)]
+        with collect() as lz, phase("GS"):
+            sm.presmooth(np.zeros(A.nrows), b, zero_guess=True)
+        with collect() as ln, phase("GS"):
+            sm.presmooth(np.zeros(A.nrows), b, zero_guess=False)
+        assert lz.records == [cs.record(0, True)]
+        assert ln.records == [cs.record(0, False)]
         assert lz.total("bytes_total") < ln.total("bytes_total")
 
     def test_baseline_counts_branches(self, rng):
         A = laplace_2d_5pt(8)
-        b = rng.standard_normal(A.nrows)
         sched = build_gs_schedule(A, block_of_rows(A.nrows, 4, A))
-        with collect() as opt:
-            gs_sweep(np.zeros(A.nrows), b, sched, optimized=True)
-        with collect() as base:
-            gs_sweep(np.zeros(A.nrows), b, sched, optimized=False)
-        assert opt.total("branches") == 0
-        assert base.total("branches") > 0
+        opt = CompiledSweep(sched, A.nrows, optimized=True,
+                            contiguous_rows=True, kernel="gs.hybrid")
+        base = CompiledSweep(sched, A.nrows, optimized=False,
+                             contiguous_rows=True, kernel="gs.hybrid")
+        assert opt.record(0, False).branches == 0
+        assert base.record(0, False).branches == sched.nnz
+        # Non-contiguous C/F rows add one classification test per row.
+        scan = CompiledSweep(sched, A.nrows, optimized=False,
+                             contiguous_rows=False, kernel="gs.hybrid")
+        assert scan.record(0, False).branches == sched.nnz + sched.nrows
 
     def test_jacobi_reduces_residual(self, rng):
         A = laplace_2d_5pt(10)
@@ -128,11 +157,10 @@ class TestColoring:
     def test_multicolor_sweep_converges(self, rng):
         A = laplace_2d_5pt(10)
         b = rng.standard_normal(A.nrows)
-        color = greedy_coloring(A)
-        d = A.diagonal()
+        plan = MulticolorPlan(A, greedy_coloring(A), A.diagonal())
         x = np.zeros(A.nrows)
         for _ in range(30):
-            multicolor_gs_sweep(A, x, b, color, d)
+            plan.run(x, b, forward=True)
         assert np.linalg.norm(b - spmv(A, x)) < 0.2 * np.linalg.norm(b)
 
 

@@ -1,30 +1,36 @@
-"""The SolvePlan layer (ISSUE 10): planned execution must be invisible.
+"""The SolvePlan layer: every smoother owns a compiled plan.
 
 Contract under test (docs/architecture.md, docs/performance_model.md):
 
-* executing through the precompiled per-level solve schedules
-  (``REPRO_SOLVEPLAN=on``, the default) produces bit-identical iterates,
-  residual histories, and PerfLog record streams to the legacy per-sweep
-  re-derivation (``REPRO_SOLVEPLAN=off``) — for every smoother variant and
-  cycle type, at ``REPRO_CHECK=full``;
-* ``Hierarchy.refresh`` rebuilds only the numeric parts of the solve plan:
+* every non-Jacobi smoother of a built hierarchy — the coarse solver's
+  smoother included — carries a compiled plan, and the hierarchy carries
+  one prebound :class:`~repro.amg.solveplan.LevelExec` per transfer level;
+* ``Hierarchy.refresh`` rebuilds only the numeric parts of the plans:
   pattern arrays (wavefront orders, gather maps, record-template tables)
-  are shared by identity with the pre-refresh plan, values are regathered;
+  are shared by identity with the pre-refresh plan, values are regathered,
+  and the rebound plans execute bit-identically (iterates, residual
+  histories, ``PerfLog`` record streams) to plans compiled from scratch on
+  the new values, at ``REPRO_CHECK=full``;
 * the bulk counter-recording primitives (``count_batch``,
   ``count_record``, ``make_record``) emit record streams indistinguishable
   from per-call ``count``.
+
+The solve phase itself is pinned by digests in ``test_solve_identity.py``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.amg import build_hierarchy
 from repro.amg.solver import AMGSolver
-from repro.amg.solveplan import CompiledSweep, SmootherPlan
+from repro.amg.solveplan import LevelExec, SmootherPlan
 from repro.analysis import get_check_level, set_check_level
-from repro.config import AMGConfig, single_node_config
+from repro.config import multi_node_config, single_node_config
+from repro.dist import DistAMGSolver, ParCSRMatrix, RowPartition, SimComm
 from repro.perf import collect
 from repro.perf.counters import (
     PerfLog,
@@ -50,10 +56,13 @@ def _full_checks():
 
 
 def _config(smoother="hybrid_gs", cycle="V"):
-    from dataclasses import replace
-
     return replace(single_node_config(True), smoother=smoother,
                    cycle_type=cycle, nthreads=4)
+
+
+def _iterative_coarse_config():
+    return replace(single_node_config(True), max_levels=2,
+                   dense_coarse_threshold=50)
 
 
 def _record_stream(log: PerfLog):
@@ -64,70 +73,116 @@ def _record_stream(log: PerfLog):
     ]
 
 
-def _solve_both_modes(config, monkeypatch, n=6, k=3):
-    """Run setup + solve + solve_many with the plan on and off."""
-    out = {}
-    for mode in ("on", "off"):
-        monkeypatch.setenv("REPRO_SOLVEPLAN", mode)
-        A = laplace_3d_27pt(n)
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal(A.nrows)
-        B = rng.standard_normal((A.nrows, k))
-        s = AMGSolver(config)
-        with collect() as log:
-            s.setup(A)
-            res = s.solve(b, tol=1e-8)
-            many = s.solve_many(B, tol=1e-8)
-        out[mode] = {
-            "x": res.x.tobytes(),
-            "iters": res.iterations,
-            "residuals": tuple(res.residuals),
-            "many_x": tuple(r.x.tobytes() for r in many),
-            "many_iters": tuple(r.iterations for r in many),
-            "records": _record_stream(log),
-        }
+def _assert_planned(smoothers):
+    for sm in smoothers:
+        if sm.variant in ("jacobi", "l1_jacobi"):
+            assert sm._plan is None
+        else:
+            assert isinstance(sm._plan, SmootherPlan)
+
+
+def _hierarchy_smoothers(h):
+    out = [lvl.smoother for lvl in h.levels[:-1]]
+    assert all(sm is not None for sm in out)
+    assert h.levels[-1].smoother is None
+    if h.coarse_solver.smoother is not None:
+        out.append(h.coarse_solver.smoother)
     return out
 
 
+def _refreshed_and_cold(config, A):
+    """A hierarchy refreshed onto ``1.02 * A`` and a cold build of it."""
+    A2 = CSRMatrix(A.shape, A.indptr, A.indices, A.data * 1.02)
+    h = build_hierarchy(A, config, capture_plan=True)
+    with collect():
+        refreshed = h.refresh(A2)
+    return h, refreshed, build_hierarchy(A2, config)
+
+
+def _solve_stream(config, h, *, fmg=False, k=3):
+    rng = np.random.default_rng(5)
+    n = h.levels[0].A.nrows
+    b = rng.standard_normal(n)
+    B = rng.standard_normal((n, k))
+    s = AMGSolver(config)
+    s.hierarchy = h
+    with collect() as log:
+        res = s.solve(b, tol=1e-8, fmg_start=fmg)
+        many = s.solve_many(B, tol=1e-8)
+    return (res.x.tobytes(), res.iterations, tuple(res.residuals),
+            tuple(r.x.tobytes() for r in many),
+            tuple(r.iterations for r in many), _record_stream(log))
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_plan_bit_identity_variants(variant, monkeypatch):
-    out = _solve_both_modes(_config(smoother=variant), monkeypatch)
-    assert out["on"] == out["off"]
+def test_plan_bit_identity_variants(variant):
+    """A plan rebound by refresh runs exactly like one compiled afresh."""
+    config = _config(smoother=variant)
+    _, refreshed, cold = _refreshed_and_cold(
+        config, PROBLEM_BUILDERS["lap3d27g"](8))
+    _assert_planned(_hierarchy_smoothers(refreshed))
+    assert _solve_stream(config, refreshed) == _solve_stream(config, cold)
 
 
 @pytest.mark.parametrize("cycle", ["W", "F"])
-def test_plan_bit_identity_cycles(cycle, monkeypatch):
-    out = _solve_both_modes(_config(cycle=cycle), monkeypatch)
-    assert out["on"] == out["off"]
+def test_plan_bit_identity_cycles(cycle):
+    config = _config(cycle=cycle)
+    _, refreshed, cold = _refreshed_and_cold(
+        config, PROBLEM_BUILDERS["lap3d27g"](8))
+    assert _solve_stream(config, refreshed) == _solve_stream(config, cold)
+
+
+def test_refresh_solve_matches_cold_build():
+    """Refresh then solve through the iterative coarse solver and an FMG
+    start: identical to solving on a cold build of the new operator."""
+    config = _iterative_coarse_config()
+    _, refreshed, cold = _refreshed_and_cold(config, laplace_3d_27pt(12))
+    assert not refreshed.coarse_solver.direct
+    _assert_planned(_hierarchy_smoothers(refreshed))
+    assert (_solve_stream(config, refreshed, fmg=True)
+            == _solve_stream(config, cold, fmg=True))
 
 
 def test_planned_hierarchy_has_plans():
-    A = laplace_3d_27pt(6)
-    h = build_hierarchy(A, _config())
-    assert h.solve_plan is not None
-    # Every non-coarsest level with a schedulable smoother is compiled.
-    for lvl in h.levels[:-1]:
-        if lvl.smoother is not None and lvl.smoother.variant in (
-                "hybrid", "lex"):
-            assert isinstance(lvl.smoother._plan, SmootherPlan)
+    for variant in VARIANTS:
+        h = build_hierarchy(laplace_3d_27pt(6), _config(smoother=variant))
+        _assert_planned(_hierarchy_smoothers(h))
+        assert len(h.solve_plan.levels) == h.num_levels - 1
+        assert all(isinstance(lx, LevelExec) for lx in h.solve_plan.levels)
+
+
+def test_iterative_coarse_solver_smoother_has_plan():
+    config = _iterative_coarse_config()
+    h = build_hierarchy(laplace_3d_27pt(12), config)
+    assert not h.coarse_solver.direct
+    assert isinstance(h.coarse_solver.smoother._plan, SmootherPlan)
+    _assert_planned(_hierarchy_smoothers(h))
+
+
+def test_dist_smoothers_have_plans():
+    A = laplace_3d_27pt(8)
+    comm = SimComm(4)
+    config = replace(multi_node_config("ei"), nthreads=4,
+                     dense_coarse_threshold=8)
+    h = DistAMGSolver(comm, config).setup(
+        ParCSRMatrix.from_global(A, RowPartition.uniform(A.nrows, 4)))
+    dist_smoothers = [lvl.smoother for lvl in h.levels if lvl.smoother is not None]
+    if h.coarse_solver.smoother is not None:
+        dist_smoothers.append(h.coarse_solver.smoother)
+    assert dist_smoothers
+    for dsm in dist_smoothers:
+        assert len(dsm._offd_recs) == comm.nranks
+        _assert_planned(dsm.local)
 
 
 def test_refresh_rebuilds_numeric_parts_only():
     config = _config()
-    A = PROBLEM_BUILDERS["lap3d27g"](8)
-    h = build_hierarchy(A, config, capture_plan=True)
-    A2 = CSRMatrix(A.shape, A.indptr, A.indices, A.data * 1.02)
-    with collect():
-        h2 = h.refresh(A2)
+    h, h2, cold = _refreshed_and_cold(config, PROBLEM_BUILDERS["lap3d27g"](8))
     assert h2.solve_plan is not None
-
-    cold = build_hierarchy(A2, config)
     shared = 0
     for old_lvl, new_lvl, cold_lvl in zip(h.levels[:-1], h2.levels[:-1],
                                           cold.levels[:-1]):
         po, pn = old_lvl.smoother._plan, new_lvl.smoother._plan
-        if po is None or pn is None:
-            continue
         for key, cs_new in pn.sweeps.items():
             cs_old = po.sweeps[key]
             if cs_new is None:
@@ -148,28 +203,6 @@ def test_refresh_rebuilds_numeric_parts_only():
                 assert np.array_equal(st_new[4], st_ref[4])  # e_vals
                 assert np.array_equal(st_new[6], st_ref[6])  # diag
     assert shared > 0
-
-
-def test_refresh_solve_matches_cold_build(monkeypatch):
-    config = _config()
-    A = PROBLEM_BUILDERS["lap3d27g"](8)
-    rng = np.random.default_rng(5)
-    b = rng.standard_normal(A.nrows)
-    A2 = CSRMatrix(A.shape, A.indptr, A.indices, A.data * 1.02)
-
-    results = {}
-    for mode in ("on", "off"):
-        monkeypatch.setenv("REPRO_SOLVEPLAN", mode)
-        h = build_hierarchy(A, config, capture_plan=True)
-        with collect():
-            h2 = h.refresh(A2)
-        s = AMGSolver(config)
-        s.hierarchy = h2
-        with collect() as log:
-            res = s.solve(b, tol=1e-8)
-        results[mode] = (res.x.tobytes(), res.iterations,
-                         tuple(res.residuals), _record_stream(log))
-    assert results["on"] == results["off"]
 
 
 class TestBulkRecording:
