@@ -11,11 +11,15 @@ For an F point *i*::
 
 Two implementations:
 
-* :func:`extended_i_interpolation` — fully vectorized.  The distance-two
-  structure is exactly a SpGEMM expansion over the strong-F pairs (the paper
-  makes the same observation), so the kernel reuses the expansion machinery
-  of :mod:`repro.sparse.spgemm`; the set-membership tests that the native
-  code does with a marker array become bulk binary searches.
+* :func:`extended_i_interpolation` — fully vectorized, in two passes.
+  :func:`extended_i_symbolic` finds the distance-two structure, which is
+  exactly a SpGEMM expansion over the strong-F pairs (the paper makes the
+  same observation), so it reuses the expansion machinery of
+  :mod:`repro.sparse.spgemm`; the set-membership tests that the native
+  code does with a marker array become bulk binary searches.  Its
+  :class:`ExtIPlan` term maps drive :func:`extended_i_values`, which does
+  all the floating-point work.  A same-pattern refresh replays only the
+  value pass (:func:`extended_i_numeric`).
 * :func:`extended_i_reference` — a literal per-row transcription of Eq. (1)
   with marker arrays, used as the oracle in tests.
 
@@ -31,17 +35,19 @@ sparse-accumulation branches remain.  Truncation is fused (§3.1.2) unless
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, collect, count
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import gather_range_indices, indptr_from_counts, segment_sum
+from ..sparse.ops import coalesce, gather_range_indices, indptr_from_counts, segment_sum
 from ..sparse.spgemm import spgemm
 from .interp_common import coarse_index, entries_in_pattern, identity_rows, pattern_keys
 from .truncation import truncate_interpolation
 
-__all__ = ["extended_i_interpolation", "extended_i_numeric",
-           "extended_i_reference"]
+__all__ = ["ExtIPlan", "extended_i_interpolation", "extended_i_numeric",
+           "extended_i_reference", "extended_i_symbolic", "extended_i_values"]
 
 _TINY = 1e-300
 
@@ -50,15 +56,239 @@ def _strong_mask(A: CSRMatrix, S: CSRMatrix) -> np.ndarray:
     return entries_in_pattern(A.row_ids(), A.indices, S)
 
 
-def _masked(A: CSRMatrix, canonical: bool, mask: np.ndarray, data: np.ndarray) -> CSRMatrix:
-    """The entries of *A* selected by *mask*, with values *data*, in
-    canonical CSR: masked directly when *A* is *canonical* (sorted,
-    duplicate-free rows), else coalesced through ``from_coo``."""
-    rows = A.row_ids()[mask]
+@dataclass
+class ExtIPlan:
+    """Symbolic state of one extended+i construction (the term maps).
+
+    Everything here is a function of the sparsity, the strength pattern,
+    the CF split — and of ``b_ok``, the set of strong-F pairs ``(i, k)``
+    with a non-degenerate ``b_ik``, which decides which distance-two terms
+    reach the weights.  :func:`extended_i_values` recomputes every number
+    from an operator's values through these maps, so a same-pattern
+    refresh skips the distance-two SpGEMM, the ``Chat`` assembly, both
+    membership searches and the output coalesce sort.
+    """
+
+    #: output shape ``(n, n_coarse)``
+    shape: tuple[int, int]
+    #: diagonal positions: ``diag[diag_rows] = A.data[diag_src]``
+    diag_rows: np.ndarray
+    diag_src: np.ndarray
+    #: strong-F pair values ``a_ik``: ``A.data[afs_src]``, summed through
+    #: ``afs_group`` when ``A``'s rows are not canonical (as ``from_coo``)
+    afs_src: np.ndarray
+    afs_group: np.ndarray | None
+    #: row ``i`` of every strong-F pair
+    afs_rows: np.ndarray
+    #: distance-two terms that reach a ``b_ik`` sum or a weight (``l`` in
+    #: ``Chat_i`` or ``l == i``): entry of ``abar_kl``, pair ``(i, k)``, row
+    eidx: np.ndarray
+    p_pair: np.ndarray
+    p_i: np.ndarray
+    in_chat: np.ndarray
+    is_diag_i: np.ndarray
+    #: weak neighbours outside ``Chat`` (lumped into ``a~_ii``)
+    wk_src: np.ndarray
+    #: direct ``a_ij`` numerator entries (``j`` in ``Chat_i``)
+    dir_src: np.ndarray
+    #: non-degenerate strong-F pairs the numerator map below was built for
+    b_ok: np.ndarray
+    #: pre-drop output pattern and the numerator coalesce:
+    #: ``data = bincount(group, weights=terms[order])`` over the terms
+    #: ``[C-point identities, direct numerators, distance-two numerators]``
+    indptr: np.ndarray
+    indices: np.ndarray
+    order: np.ndarray
+    group: np.ndarray
+    #: term counts for the cost models
+    expansion: int
+    contrib: int
+    afs_nnz: int
+
+
+def _masked(A: CSRMatrix, canonical: bool, mask: np.ndarray):
+    """Pattern of the entries of *A* selected by *mask*, in canonical CSR,
+    plus how their values are formed: ``(M, src, group)`` where ``M``'s
+    values are ``A.data[src]`` (summed through ``group`` when *A* is not
+    *canonical* — sorted, duplicate-free rows — as ``from_coo`` does)."""
+    src = np.flatnonzero(mask)
+    rows = A.row_ids()[src]
     if not canonical:
-        return CSRMatrix.from_coo(A.shape, rows, A.indices[mask], data)
+        indptr, indices, order, group = coalesce(A.shape, rows, A.indices[src])
+        return (CSRMatrix(A.shape, indptr, indices, np.ones(len(indices))),
+                src[order], group)
     counts = np.bincount(rows, minlength=A.nrows)
-    return CSRMatrix(A.shape, indptr_from_counts(counts), A.indices[mask], data)
+    return (CSRMatrix(A.shape, indptr_from_counts(counts), A.indices[src],
+                      np.ones(len(src))), src, None)
+
+
+def _pair_sums(A: CSRMatrix, diag_rows, diag_src, eidx, p_pair, npairs: int):
+    """``(diag, abar_kl per term, b_ik per pair)`` from *A*'s values."""
+    vals = A.data
+    diag = np.zeros(A.nrows)
+    diag[diag_rows] = vals[diag_src]
+    abar = np.where(np.sign(diag)[A.row_ids()] == np.sign(vals), 0.0, vals)
+    p_abar = abar[eidx]
+    return diag, p_abar, segment_sum(p_abar, p_pair, npairs)
+
+
+def extended_i_symbolic(
+    A: CSRMatrix,
+    S: CSRMatrix,
+    cf_marker: np.ndarray,
+    *,
+    active_rows: np.ndarray | None = None,
+) -> ExtIPlan:
+    """Symbolic pass of extended+i: the :class:`ExtIPlan` term maps.
+
+    Charges the distance-two ``Chat`` SpGEMM; everything else it does is
+    covered by :func:`extended_i_values`' record.
+    """
+    n = A.nrows
+    cf_marker = np.asarray(cf_marker)
+    c_idx, nc = coarse_index(cf_marker)
+
+    rid = A.row_ids()
+    cols = A.indices
+    offdiag = cols != rid
+    f_row = cf_marker[rid] <= 0
+    if active_rows is not None:
+        active_rows = np.asarray(active_rows, dtype=bool)
+        f_row &= active_rows[rid]
+
+    strong = _strong_mask(A, S)
+    is_c_col = cf_marker[cols] > 0
+
+    # Strong-C adjacency (all rows) and strong-F pairs (F rows only).
+    canonical = A.has_sorted_indices()
+    sc = strong & is_c_col
+    SC = _masked(A, canonical, sc)[0]
+    fs = strong & ~is_c_col & f_row & offdiag
+    AFS, afs_src, afs_group = _masked(A, canonical, fs)
+
+    # Chat pattern: strong C of i plus strong C of i's strong F neighbours.
+    D2 = spgemm(AFS, SC, kernel="interp.exti_dist2")
+    chat_rows = np.concatenate([rid[sc & f_row], D2.row_ids()])
+    chat_cols = np.concatenate([cols[sc & f_row], D2.indices])
+    Chat = CSRMatrix.from_coo((n, n), chat_rows, chat_cols, np.ones(len(chat_rows)))
+    chat_keys = pattern_keys(Chat)
+
+    # ---- pairwise expansion over (i, k in F_i^s) through rows of abar ----
+    kcounts = A.indptr[AFS.indices + 1] - A.indptr[AFS.indices]
+    eidx = gather_range_indices(A.indptr[AFS.indices], kcounts)
+    p_pair = np.repeat(np.arange(AFS.nnz, dtype=np.int64), kcounts)
+    p_i = np.repeat(AFS.row_ids(), kcounts)
+    p_l = A.indices[eidx]
+    expansion = len(p_l)
+    in_chat = entries_in_pattern(p_i, p_l, Chat, keys=chat_keys)
+    is_diag_i = p_l == p_i
+    # Only terms in Chat_i + {i} reach a b_ik sum or a weight.
+    keep = in_chat | is_diag_i
+    eidx, p_pair, p_i, p_l = eidx[keep], p_pair[keep], p_i[keep], p_l[keep]
+    in_chat, is_diag_i = in_chat[keep], is_diag_i[keep]
+    in_chat_A = entries_in_pattern(rid, cols, Chat, keys=chat_keys)
+    dir_src = np.flatnonzero(f_row & in_chat_A)
+    diag_src = np.flatnonzero(~offdiag)
+    diag_rows = rid[diag_src]
+
+    # The numerator terms of degenerate pairs (b_ik == 0) are dropped, so
+    # the output coalesce is built for this operator's b_ok.
+    b = _pair_sums(A, diag_rows, diag_src, eidx, p_pair, AFS.nnz)[2]
+    b_ok = np.abs(b) > _TINY
+    wsel = b_ok[p_pair] & in_chat
+    cr, cc, _ = identity_rows(cf_marker)
+    if active_rows is not None:
+        keep_c = active_rows[cr]
+        cr, cc = cr[keep_c], cc[keep_c]
+    indptr, indices, order, group = coalesce(
+        (n, nc),
+        np.concatenate([cr, rid[dir_src], p_i[wsel]]),
+        np.concatenate([cc, c_idx[cols[dir_src]], c_idx[p_l[wsel]]]),
+    )
+    return ExtIPlan(
+        shape=(n, nc), diag_rows=diag_rows, diag_src=diag_src,
+        afs_src=afs_src, afs_group=afs_group, afs_rows=AFS.row_ids(),
+        eidx=eidx, p_pair=p_pair, p_i=p_i, in_chat=in_chat, is_diag_i=is_diag_i,
+        wk_src=np.flatnonzero(f_row & offdiag & ~strong & ~in_chat_A),
+        dir_src=dir_src, b_ok=b_ok,
+        indptr=indptr, indices=indices, order=order, group=group,
+        expansion=expansion, contrib=len(eidx), afs_nnz=AFS.nnz,
+    )
+
+
+def extended_i_values(
+    plan: ExtIPlan,
+    A: CSRMatrix,
+    *,
+    trunc_fact: float = 0.1,
+    max_elmts: int = 4,
+    reordered: bool = True,
+    fused_truncation: bool = True,
+    truncate: bool = True,
+) -> CSRMatrix | None:
+    """Value pass of extended+i: ``P`` from *A*'s values through *plan*.
+
+    Every floating-point operation happens in the order of the one-shot
+    kernel, so the result is bit-identical to
+    :func:`extended_i_interpolation` on *A*.  Returns None when *A*'s
+    degenerate strong-F pairs (``b_ik == 0``) differ from the ones *plan*
+    was built for: the numerator map no longer applies.
+    """
+    n = A.nrows
+    vals = A.data
+    diag, p_abar, b = _pair_sums(A, plan.diag_rows, plan.diag_src,
+                                 plan.eidx, plan.p_pair, plan.afs_nnz)
+    b_ok = np.abs(b) > _TINY
+    if not np.array_equal(b_ok, plan.b_ok):
+        return None
+    b_safe = np.where(b_ok, b, 1.0)
+    afs = vals[plan.afs_src]
+    if plan.afs_group is not None:
+        afs = np.bincount(plan.afs_group, weights=afs, minlength=plan.afs_nnz)
+
+    # Degenerate pairs: lump a_ik into the diagonal.
+    atil = diag.copy()
+    np.add.at(atil, plan.afs_rows[~b_ok], afs[~b_ok])
+
+    ok_e = b_ok[plan.p_pair]
+    w = afs[plan.p_pair] * p_abar / b_safe[plan.p_pair]
+    # Diagonal-return term of a~_ii.
+    dsel = ok_e & plan.is_diag_i
+    np.add.at(atil, plan.p_i[dsel], w[dsel])
+    # Weak neighbours not in Chat.
+    rid = A.row_ids()
+    atil += segment_sum(vals[plan.wk_src], rid[plan.wk_src], n)
+
+    # ---- numerator accumulation ----
+    wsel = ok_e & plan.in_chat
+    nrows_all = np.concatenate([rid[plan.dir_src], plan.p_i[wsel]])
+    nvals_all = np.concatenate([vals[plan.dir_src], w[wsel]])
+    atil_safe = np.where(np.abs(atil) > _TINY, atil, 1.0)
+    nvals_all = -nvals_all / atil_safe[nrows_all]
+    n_ident = len(plan.order) - len(nvals_all)
+    terms = np.concatenate([np.ones(n_ident), nvals_all])
+    data = np.bincount(plan.group, weights=terms[plan.order],
+                       minlength=len(plan.indices))
+    P = CSRMatrix(plan.shape, plan.indptr, plan.indices, data).eliminate_zeros()
+
+    a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
+    gathered = plan.expansion * (VAL_BYTES + IDX_BYTES) + plan.afs_nnz * 2 * PTR_BYTES
+    # Branch model: the irreducible sparse-accumulator branch per expanded
+    # term, plus (baseline only) a per-term C/F/sign classification branch
+    # that the 3-way partial sort removes.
+    branches = float(plan.expansion) if reordered else float(2 * plan.expansion + A.nnz)
+    count(
+        "interp.extended_i",
+        flops=5 * plan.expansion + 4 * A.nnz,
+        bytes_read=a_bytes + gathered,
+        bytes_written=P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
+        branches=branches,
+    )
+    if truncate:
+        P = truncate_interpolation(
+            P, trunc_fact, max_elmts, fused=fused_truncation
+        )
+    return P
 
 
 def extended_i_interpolation(
@@ -72,143 +302,31 @@ def extended_i_interpolation(
     fused_truncation: bool = True,
     truncate: bool = True,
     active_rows: np.ndarray | None = None,
-    _stats: dict | None = None,
-) -> CSRMatrix:
-    """Vectorized extended+i interpolation ``P`` (``n x n_coarse``).
+    return_plan: bool = False,
+) -> CSRMatrix | tuple[CSRMatrix, ExtIPlan]:
+    """Vectorized extended+i interpolation ``P`` (``n x n_coarse``):
+    :func:`extended_i_values` through :func:`extended_i_symbolic`.
 
     ``active_rows`` (bool mask) restricts which rows get interpolation
     entries: inactive rows still serve as distance-two neighbours (their
     strong-C sets feed ``Chat``) but receive no P rows.  The distributed
     construction uses this to interpolate only locally owned rows while
     gathered ghost rows provide the distance-two information (§4.3).
+    With ``return_plan`` the :class:`ExtIPlan` is returned alongside ``P``
+    (for :func:`extended_i_numeric`).
     """
-    n = A.nrows
-    cf_marker = np.asarray(cf_marker)
-    c_idx, nc = coarse_index(cf_marker)
-
-    rid = A.row_ids()
-    cols = A.indices
-    vals = A.data
-    diag = A.diagonal()
-    offdiag = cols != rid
-    f_row = cf_marker[rid] <= 0
-    if active_rows is not None:
-        active_rows = np.asarray(active_rows, dtype=bool)
-        f_row &= active_rows[rid]
-
-    strong = _strong_mask(A, S)
-    is_c_col = cf_marker[cols] > 0
-
-    # Strong-C adjacency (all rows) and strong-F pairs (F rows only): masks
-    # of A, so canonical (sorted, duplicate-free) when A is.
-    canonical = A.has_sorted_indices()
-    sc = strong & is_c_col
-    SC = _masked(A, canonical, sc, np.ones(int(sc.sum())))
-    fs = strong & ~is_c_col & f_row & offdiag
-    AFS = _masked(A, canonical, fs, vals[fs])
-
-    # Chat pattern: strong C of i plus strong C of i's strong F neighbours.
-    D2 = spgemm(AFS, SC, kernel="interp.exti_dist2")
-    chat_rows = np.concatenate([rid[sc & f_row], D2.row_ids()])
-    chat_cols = np.concatenate([cols[sc & f_row], D2.indices])
-    Chat = CSRMatrix.from_coo((n, n), chat_rows, chat_cols, np.ones(len(chat_rows)))
-    chat_keys = pattern_keys(Chat)
-
-    # abar: sign-filtered matrix values on A's pattern.
-    abar = np.where(np.sign(diag)[rid] == np.sign(vals), 0.0, vals)
-
-    # ---- pairwise expansion over (i, k in F_i^s) through rows of abar ----
-    kcounts = A.indptr[AFS.indices + 1] - A.indptr[AFS.indices]
-    eidx = gather_range_indices(A.indptr[AFS.indices], kcounts)
-    p_pair = np.repeat(np.arange(AFS.nnz, dtype=np.int64), kcounts)
-    p_i = np.repeat(AFS.row_ids(), kcounts)
-    p_aik = np.repeat(AFS.data, kcounts)
-    p_l = A.indices[eidx]
-    p_abar = abar[eidx]
-    expansion = len(p_l)
-
-    in_chat = entries_in_pattern(p_i, p_l, Chat, keys=chat_keys)
-    is_diag_i = p_l == p_i
-    if _stats is not None:
-        # Term counts for the pattern-reuse numeric cost model (see
-        # extended_i_numeric): only terms that actually contribute to a
-        # b_ik sum or a weight survive a frozen-pattern recomputation.
-        _stats["expansion"] = expansion
-        _stats["contrib"] = int(np.count_nonzero(in_chat | is_diag_i))
-        _stats["afs_nnz"] = AFS.nnz
-
-    b = segment_sum(np.where(in_chat | is_diag_i, p_abar, 0.0), p_pair, AFS.nnz)
-    b_ok = np.abs(b) > _TINY
-    b_safe = np.where(b_ok, b, 1.0)
-
-    # Degenerate pairs: lump a_ik into the diagonal.
-    atil = diag.copy()
-    if AFS.nnz:
-        np.add.at(atil, AFS.row_ids()[~b_ok], AFS.data[~b_ok])
-
-    ok_e = b_ok[p_pair]
-    # Diagonal-return term of a~_ii.
-    dsel = ok_e & is_diag_i
-    if dsel.any():
-        np.add.at(atil, p_i[dsel], p_aik[dsel] * p_abar[dsel] / b_safe[p_pair[dsel]])
-
-    # Weak neighbours not in Chat.
-    in_chat_A = entries_in_pattern(rid, cols, Chat, keys=chat_keys)
-    wk = f_row & offdiag & ~strong & ~in_chat_A
-    atil += segment_sum(np.where(wk, vals, 0.0), rid, n)
-
-    # ---- numerator accumulation ----
-    wsel = ok_e & in_chat
-    num_rows = [rid[f_row & in_chat_A]]
-    num_cols = [cols[f_row & in_chat_A]]
-    num_vals = [vals[f_row & in_chat_A]]
-    if wsel.any():
-        num_rows.append(p_i[wsel])
-        num_cols.append(p_l[wsel])
-        num_vals.append(p_aik[wsel] * p_abar[wsel] / b_safe[p_pair[wsel]])
-    nrows_all = np.concatenate(num_rows)
-    ncols_all = np.concatenate(num_cols)
-    nvals_all = np.concatenate(num_vals)
-
-    atil_safe = np.where(np.abs(atil) > _TINY, atil, 1.0)
-    nvals_all = -nvals_all / atil_safe[nrows_all]
-
-    cr, cc, cv = identity_rows(cf_marker)
-    if active_rows is not None:
-        keep_c = active_rows[cr]
-        cr, cc, cv = cr[keep_c], cc[keep_c], cv[keep_c]
-    P = CSRMatrix.from_coo(
-        (n, nc),
-        np.concatenate([cr, nrows_all]),
-        np.concatenate([cc, c_idx[ncols_all]]),
-        np.concatenate([cv, nvals_all]),
+    plan = extended_i_symbolic(A, S, cf_marker, active_rows=active_rows)
+    P = extended_i_values(
+        plan, A,
+        trunc_fact=trunc_fact, max_elmts=max_elmts, reordered=reordered,
+        fused_truncation=fused_truncation, truncate=truncate,
     )
-    P = P.eliminate_zeros()
-
-    a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-    gathered = expansion * (VAL_BYTES + IDX_BYTES) + AFS.nnz * 2 * PTR_BYTES
-    # Branch model: the irreducible sparse-accumulator branch per expanded
-    # term, plus (baseline only) a per-term C/F/sign classification branch
-    # that the 3-way partial sort removes.
-    branches = float(expansion) if reordered else float(2 * expansion + A.nnz)
-    count(
-        "interp.extended_i",
-        flops=5 * expansion + 4 * A.nnz,
-        bytes_read=a_bytes + gathered,
-        bytes_written=P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
-        branches=branches,
-    )
-    if truncate:
-        P = truncate_interpolation(
-            P, trunc_fact, max_elmts, fused=fused_truncation
-        )
-    return P
+    return (P, plan) if return_plan else P
 
 
 def extended_i_numeric(
+    plan: ExtIPlan,
     A: CSRMatrix,
-    S: CSRMatrix,
-    cf_marker: np.ndarray,
     pattern: CSRMatrix,
     *,
     trunc_fact: float = 0.1,
@@ -220,27 +338,24 @@ def extended_i_numeric(
 
     The §3.1.1 pattern-reuse idea applied to interpolation: when the
     operator's values changed but its sparsity (hence ``S``'s pattern, the
-    CF split, ``Chat``, and the truncation keep-set) did not, every
-    set-membership test, sparse accumulation, and size-discovery pass of
-    :func:`extended_i_interpolation` is redundant — only the ``b_ik`` sums,
-    the weight numerators, and the row scalings must be recomputed.
+    CF split, ``Chat``, and the truncation keep-set) did not, only the
+    value pass through the captured *plan* runs — the ``b_ik`` sums, the
+    weight numerators, the row scalings and the truncation.
 
-    Returns the recomputed ``P``, or ``None`` when the resulting pattern
-    deviates from *pattern* (values drifted far enough to change the
-    interpolation structure — e.g. a truncation keep-set flipped), in which
-    case the caller must fall back to a full rebuild.  On success the
-    counted record charges only the irreducible numeric work, with **zero**
-    data-dependent branches.
+    Returns the recomputed ``P``, or ``None`` when a degenerate ``b_ik``
+    appeared or vanished, or the resulting pattern deviates from *pattern*
+    (values drifted far enough to change the interpolation structure —
+    e.g. a truncation keep-set flipped); the caller must then fall back to
+    a full rebuild.  On success the counted record charges only the
+    irreducible numeric work, with **zero** data-dependent branches.
     """
-    stats: dict = {}
-    with collect():
-        P = extended_i_interpolation(
-            A, S, cf_marker,
+    with collect():  # counted below as numeric-only work
+        P = extended_i_values(
+            plan, A,
             trunc_fact=trunc_fact, max_elmts=max_elmts,
             reordered=reordered, fused_truncation=fused_truncation,
-            _stats=stats,
         )
-    if P.shape != pattern.shape or not (
+    if P is None or P.shape != pattern.shape or not (
         np.array_equal(P.indptr, pattern.indptr)
         and np.array_equal(P.indices, pattern.indices)
     ):
@@ -250,9 +365,9 @@ def extended_i_numeric(
     # diagonal accumulations over A's entries (~4 per entry), one
     # multiply-divide-accumulate per contributing distance-two term, the
     # row scaling, and the (frozen keep-set) truncation rescale.
-    flops = 3 * stats["contrib"] + 4 * A.nnz + 2 * P.nnz + 2 * stats["afs_nnz"]
+    flops = 3 * plan.contrib + 4 * A.nnz + 2 * P.nnz + 2 * plan.afs_nnz
     a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-    gathered = stats["expansion"] * VAL_BYTES + stats["afs_nnz"] * 2 * PTR_BYTES
+    gathered = plan.expansion * VAL_BYTES + plan.afs_nnz * 2 * PTR_BYTES
     count(
         "interp.extended_i.numeric_only",
         flops=flops,

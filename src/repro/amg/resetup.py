@@ -64,7 +64,7 @@ from ..sparse.triple_product import (
 )
 from .interp_classical import classical_numeric
 from .interp_direct import direct_numeric
-from .interp_extended import extended_i_numeric
+from .interp_extended import ExtIPlan, extended_i_numeric
 from .strength import _strong_connections_mask
 
 logger = logging.getLogger("repro.amg.resetup")
@@ -89,6 +89,8 @@ class LevelPlan:
     #: raw interpolation operator as the RAP consumed it (pre column
     #: renumbering); pattern reference for the refresh guard.
     p_raw: CSRMatrix | None = None
+    #: extended+i term maps from the pass that built ``p_raw``
+    interp_plan: ExtIPlan | None = None
     #: RAP reuse plan for this level's Galerkin product
     rap: RAPCFBlockPlan | RAPFusedPlan | None = None
     #: raw-P -> stored-P entry map (column renumbering + re-sort); None
@@ -205,11 +207,14 @@ class PlanBuilder:
             entry_perm=entry_perm, strong_mask=mask, S=S, interp=interp,
         ))
 
-    def capture_interp(self, P: CSRMatrix) -> None:
-        """Freeze the raw (pre-renumbering) interpolation pattern."""
+    def capture_interp(self, P: CSRMatrix, interp_plan: ExtIPlan | None) -> None:
+        """Freeze the raw (pre-renumbering) interpolation pattern and, for
+        extended+i, the term maps of the pass that built it."""
         if self._dead:
             return
-        self.plan.levels[-1].p_raw = P
+        lp = self.plan.levels[-1]
+        lp.p_raw = P
+        lp.interp_plan = interp_plan
 
     def capture_rap(self, rap_plan) -> None:
         if self._dead:
@@ -228,7 +233,8 @@ class PlanBuilder:
             return None
         flags = self.config.flags
         for l, lp in enumerate(self.plan.levels):
-            if lp.p_raw is None or lp.rap is None:
+            if lp.p_raw is None or lp.rap is None or (
+                    lp.interp == "extended_i" and lp.interp_plan is None):
                 self.abort(f"level {l} plan is incomplete")
                 return None
             child = levels[l + 1]
@@ -278,7 +284,7 @@ def _interp_numeric(lp: LevelPlan, A: CSRMatrix, cf_marker: np.ndarray,
             fused_truncation=flags.fused_truncation,
         )
     return extended_i_numeric(
-        A, lp.S, cf_marker, lp.p_raw,
+        lp.interp_plan, A, lp.p_raw,
         trunc_fact=config.trunc_fact, max_elmts=config.max_elmts,
         reordered=flags.three_way_partition,
         fused_truncation=flags.fused_truncation,
@@ -456,7 +462,7 @@ def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
         # The smoothers rebound their plans in ``from_numeric`` (sharing
         # every index array / flat-gather cache / record table); bind the
         # refreshed transfers.
-        refresh_plans(refreshed, hierarchy)
+        refresh_plans(refreshed)
         fine_nnz = sum(lv.A.nnz for lv in new_levels[:-1])
         count(
             "resetup.smoother",

@@ -111,7 +111,9 @@ class Hierarchy:
         return [(l.A.nrows, l.A.nnz) for l in self.levels]
 
 
-def _build_interp(A, S, cf, cf_stage1, config: AMGConfig, level: int) -> CSRMatrix:
+def _build_interp(A, S, cf, cf_stage1, config: AMGConfig, level: int):
+    """``(P, plan)``: the level's interpolation and, for extended+i, the
+    :class:`~repro.amg.interp_extended.ExtIPlan` it was built through."""
     flags = config.flags
     aggressive = cf_stage1 is not None
     if aggressive and config.interp == "2s-ei":
@@ -122,21 +124,21 @@ def _build_interp(A, S, cf, cf_stage1, config: AMGConfig, level: int) -> CSRMatr
             trunc_fact=config.trunc_fact,
             max_elmts=config.max_elmts,
             reordered=flags.three_way_partition,
-        )
+        ), None
     if aggressive and config.interp == "multipass":
         return multipass_interpolation(
             A, S, cf, trunc_fact=config.trunc_fact, max_elmts=config.max_elmts
-        )
+        ), None
     if config.interp == "classical":
         P = classical_interpolation(A, S, cf)
         return truncate_interpolation(
             P, config.trunc_fact, config.max_elmts, fused=flags.fused_truncation
-        )
+        ), None
     if config.interp == "direct":
         P = direct_interpolation(A, S, cf)
         return truncate_interpolation(
             P, config.trunc_fact, config.max_elmts, fused=flags.fused_truncation
-        )
+        ), None
     # Default / deeper levels: extended+i.
     return extended_i_interpolation(
         A, S, cf,
@@ -144,6 +146,7 @@ def _build_interp(A, S, cf, cf_stage1, config: AMGConfig, level: int) -> CSRMatr
         max_elmts=config.max_elmts,
         reordered=flags.three_way_partition,
         fused_truncation=flags.fused_truncation,
+        return_plan=True,
     )
 
 
@@ -314,12 +317,12 @@ def build_hierarchy(
             builder.capture_level(lvl, S)
 
         with phase("Interp"):
-            P = _build_interp(A, S, cf, cf_stage1, config, l)
+            P, interp_plan = _build_interp(A, S, cf, cf_stage1, config, l)
             if checking():
                 check_csr(P, name=f"P[{l}]", level=l)
         lvl.P = P
         if builder is not None:
-            builder.capture_interp(P)
+            builder.capture_interp(P, interp_plan)
 
         with phase("RAP"):
             A_next = _galerkin(A, P, cf, config, plan_builder=builder)

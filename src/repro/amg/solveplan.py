@@ -634,12 +634,11 @@ def attach_solve_plan(hierarchy) -> None:
         [LevelExec(lvl, flags) for lvl in hierarchy.levels[:-1]])
 
 
-def refresh_plans(new_hierarchy, old_hierarchy) -> None:
+def refresh_plans(hierarchy) -> None:
     """Attach the :class:`LevelExec` table of a refreshed hierarchy.
 
     The smoothers already rebound their plans to the new values
     (:meth:`~repro.amg.smoothers.HybridGSSmoother.from_numeric`); the
-    transfers bind the refreshed ``P``/``P_F``/``R`` of *new_hierarchy*,
-    which share their patterns with *old_hierarchy*'s.
+    transfers bind the refreshed ``P``/``P_F``/``R`` of *hierarchy*.
     """
-    attach_solve_plan(new_hierarchy)
+    attach_solve_plan(hierarchy)

@@ -61,19 +61,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _expand(A: CSRMatrix, B: CSRMatrix):
-    """All product terms of ``C = A B``.
+    """All product terms of ``C = A B``, as entry ids.
 
-    Returns ``(erows, ecols, evals)`` where entry *t* contributes
-    ``evals[t]`` to ``C[erows[t], ecols[t]]``.
+    Returns ``(a_src, b_src)``: term *t* contributes
+    ``A.data[a_src[t]] * B.data[b_src[t]]`` to
+    ``C[row of a_src[t], B.indices[b_src[t]]]``.
     """
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.shape} @ {B.shape}")
     bcounts = B.indptr[A.indices + 1] - B.indptr[A.indices]
-    idx = gather_range_indices(B.indptr[A.indices], bcounts)
-    erows = np.repeat(A.row_ids(), bcounts)
-    ecols = B.indices[idx]
-    evals = np.repeat(A.data, bcounts) * B.data[idx]
-    return erows, ecols, evals
+    b_src = gather_range_indices(B.indptr[A.indices], bcounts)
+    a_src = np.repeat(np.arange(A.nnz, dtype=np.int64), bcounts)
+    return a_src, b_src
 
 
 def expansion_size(A: CSRMatrix, B: CSRMatrix) -> int:
@@ -130,6 +129,30 @@ def spgemm_traffic(
 # Public kernels
 # ---------------------------------------------------------------------------
 
+def _product(A: CSRMatrix, B: CSRMatrix, method: str, kernel: str, parallel: bool):
+    """``C = A @ B`` from one expansion and one coalescing sort, plus the
+    term mapping: ``(C, a_src, b_src, order, group)`` where expanded term
+    ``order[t]`` (factors ``a_src``/``b_src``) lands in slot ``group[t]``."""
+    a_src, b_src = _expand(A, B)
+    shape = (A.nrows, B.ncols)
+    indptr, indices, order, group = coalesce(
+        shape, A.row_ids()[a_src], B.indices[b_src])
+    evals = A.data[a_src] * B.data[b_src]
+    vals = np.bincount(group, weights=evals[order], minlength=len(indices))
+    C = CSRMatrix(shape, indptr, indices, vals)
+    expansion = len(a_src)
+    br, bw, branches = spgemm_traffic(A, B, C, expansion, method)
+    count(
+        f"{kernel}.{method}",
+        flops=2 * expansion,
+        bytes_read=br,
+        bytes_written=bw,
+        branches=branches,
+        parallel=parallel,
+    )
+    return C, a_src, b_src, order, group
+
+
 def spgemm(
     A: CSRMatrix,
     B: CSRMatrix,
@@ -139,22 +162,25 @@ def spgemm(
     parallel: bool = True,
 ) -> CSRMatrix:
     """``C = A @ B`` with the traffic/branch profile of *method*."""
-    return spgemm_plan(A, B, method=method, kernel=kernel, parallel=parallel)[0]
+    return _product(A, B, method, kernel, parallel)[0]
 
 
 @dataclass
 class SpGEMMPlan:
     """Symbolic SpGEMM result: the output pattern plus the term mapping.
 
-    ``term_perm``/``term_group`` map every expanded product term to its
-    output slot, so a numeric pass is a gather–multiply–segment-sum with no
+    ``a_src``/``b_src`` gather every expanded product term's two factors
+    from ``A.data``/``B.data``, already in coalesced order, and
+    ``term_group`` is the term's output slot, so a numeric pass is a
+    gather–multiply–segment-sum with no expansion and no
     sparse-accumulator branches.
     """
 
     shape: tuple[int, int]
     indptr: np.ndarray
     indices: np.ndarray
-    term_perm: np.ndarray
+    a_src: np.ndarray
+    b_src: np.ndarray
     term_group: np.ndarray
     expansion: int
 
@@ -173,22 +199,9 @@ def spgemm_plan(
     mapping together — the plan is a by-product, so this is counted exactly
     like :func:`spgemm` (no symbolic record).
     """
-    erows, ecols, evals = _expand(A, B)
-    shape = (A.nrows, B.ncols)
-    indptr, indices, order, group = coalesce(shape, erows, ecols)
-    vals = np.bincount(group, weights=evals[order], minlength=len(indices))
-    C = CSRMatrix(shape, indptr, indices, vals)
-    expansion = len(erows)
-    br, bw, branches = spgemm_traffic(A, B, C, expansion, method)
-    count(
-        f"{kernel}.{method}",
-        flops=2 * expansion,
-        bytes_read=br,
-        bytes_written=bw,
-        branches=branches,
-        parallel=parallel,
-    )
-    return C, SpGEMMPlan(shape, indptr, indices, order, group, expansion)
+    C, a_src, b_src, order, group = _product(A, B, method, kernel, parallel)
+    return C, SpGEMMPlan(C.shape, C.indptr, C.indices, a_src[order],
+                         b_src[order], group, len(a_src))
 
 
 def spgemm_symbolic(A: CSRMatrix, B: CSRMatrix, *, kernel: str = "spgemm") -> SpGEMMPlan:
@@ -213,10 +226,14 @@ def spgemm_numeric(
 
     This is the §3.1.1 experiment: repeated products with an unchanged
     pattern run ~2.1x faster because the hit/miss branch of the marker array
-    disappears.
+    disappears.  *A* and *B* must have the patterns the plan was built from;
+    the product is bit-identical to a fresh :func:`spgemm` on their values.
     """
-    _, _, evals = _expand(A, B)
-    vals = np.bincount(plan.term_group, weights=evals[plan.term_perm],
+    if A.ncols != B.nrows or (A.nrows, B.ncols) != plan.shape:
+        raise ValueError(
+            f"dimension mismatch: {A.shape} @ {B.shape} vs plan {plan.shape}")
+    vals = np.bincount(plan.term_group,
+                       weights=A.data[plan.a_src] * B.data[plan.b_src],
                        minlength=len(plan.indices))
     C = CSRMatrix(plan.shape, plan.indptr.copy(), plan.indices.copy(), vals)
     br, bw, branches = spgemm_traffic(A, B, C, plan.expansion, "numeric_only")

@@ -135,7 +135,7 @@ class TestPlanTwins:
         C, plan = spgemm_plan(A, A.T)
         _assert_same(C, spgemm(A, A.T))
         np.testing.assert_array_equal(plan.indices, C.indices)
-        assert plan.expansion == len(plan.term_perm) == len(plan.term_group)
+        assert plan.expansion == len(plan.a_src) == len(plan.b_src) == len(plan.term_group)
 
     def test_sp_add_plan(self):
         shape, rows, cols, vals = _noncanonical_triplets(1)

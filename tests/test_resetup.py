@@ -9,16 +9,20 @@ import numpy as np
 import pytest
 
 import repro
-from repro.amg import AMGSolver, build_hierarchy
+from repro.amg import AMGSolver, build_hierarchy, extended_i_interpolation
 from repro.amg.cache import (
     HierarchyCache,
     matrix_fingerprint,
     pattern_fingerprint,
 )
+from repro.amg.interp_extended import extended_i_numeric, extended_i_values
+from repro.amg.strength import _strong_connections_mask
 from repro.analysis import check_hierarchy, check_scope
-from repro.config import single_node_config
+from repro.config import AMGConfig, single_node_config
 from repro.perf import collect
-from repro.problems import anisotropic_2d, laplace_2d_5pt, laplace_3d_27pt
+from repro.problems import (anisotropic_2d, generate, laplace_2d_5pt,
+                            laplace_3d_27pt, suite_names)
+from repro.serve.workload import PROBLEM_BUILDERS
 from repro.sparse import (
     CSRMatrix,
     SpAddPlan,
@@ -420,6 +424,128 @@ class TestRefresh:
             h2 = h.refresh(_scale(A, 1.02))
             assert h2 is not h
             check_hierarchy(h2)
+
+
+# ---------------------------------------------------------------------------
+# Interpolation replay through the captured extended+i term maps
+# ---------------------------------------------------------------------------
+
+def _with_data(A: CSRMatrix, data: np.ndarray) -> CSRMatrix:
+    return CSRMatrix(A.shape, A.indptr, A.indices, data)
+
+
+def _same_strength(A: CSRMatrix, B: CSRMatrix, cfg) -> bool:
+    return np.array_equal(
+        _strong_connections_mask(A, cfg.strength_threshold, cfg.max_row_sum),
+        _strong_connections_mask(B, cfg.strength_threshold, cfg.max_row_sum))
+
+
+def _pattern(M: CSRMatrix):
+    return M.indptr.tolist(), M.indices.tolist()
+
+
+def _drift_messages(caplog) -> list[str]:
+    return [r.message for r in caplog.records
+            if "interpolation pattern drifted at level 0" in r.message]
+
+
+class TestInterpolationReplay:
+    @pytest.mark.parametrize("name", (*suite_names(), "lap3d27g"))
+    def test_extended_i_numeric_matches_fresh_kernel(self, name):
+        """The value pass through each level's captured plan reproduces a
+        fresh extended+i build on new values bit for bit.  An exact
+        rescaling (x0.5) keeps every weight ratio, so it must replay; a
+        rounding rescaling (x1.25) may flip a truncation tie of these
+        uniform stencils, and a replay may then only decline when the
+        fresh pattern really differs."""
+        A = (PROBLEM_BUILDERS["lap3d27g"](8) if name == "lap3d27g"
+             else generate(name, 1024)[0])
+        cfg = AMGConfig()
+        flags = cfg.flags
+        kw = dict(trunc_fact=cfg.trunc_fact, max_elmts=cfg.max_elmts,
+                  reordered=flags.three_way_partition,
+                  fused_truncation=flags.fused_truncation)
+        h = build_hierarchy(A, cfg, capture_plan=True)
+        for l, (lp, lvl) in enumerate(zip(h.plan.levels, h.levels)):
+            for factor in (0.5, 1.25):
+                what = f"{name} level {l} x{factor}"
+                A2 = _with_data(lvl.A, lvl.A.data * factor)
+                with collect():
+                    fresh = extended_i_interpolation(
+                        A2, lp.S, lvl.cf_marker, **kw)
+                P = extended_i_numeric(lp.interp_plan, A2, lp.p_raw, **kw)
+                if P is None:
+                    assert factor != 0.5, what
+                    assert _pattern(fresh) != _pattern(lp.p_raw), what
+                else:
+                    assert_same_matrix(P, fresh, what)
+
+    def test_truncation_keep_set_flip_falls_back(self, caplog):
+        """Weakening one kept weight (its connection stays strong) drops it
+        from a truncated row: same strength, same untruncated pattern, a
+        different truncated one."""
+        A = _jitter(laplace_3d_27pt(8))
+        cfg = single_node_config(True)
+        h = build_hierarchy(A, cfg, capture_plan=True)
+        lvl, lp = h.levels[0], h.plan.levels[0]
+        c_pts = np.flatnonzero(lvl.cf_marker > 0)
+        P = lp.p_raw
+        for r in np.flatnonzero(lvl.cf_marker <= 0):
+            lo, hi = P.indptr[r], P.indptr[r + 1]
+            if hi - lo < cfg.max_elmts:
+                continue
+            # The smallest kept weight's direct connection a_ij.
+            c = P.indices[lo + np.argmin(np.abs(P.data[lo:hi]))]
+            i, j = lvl.new2old[r], lvl.new2old[c_pts[c]]
+            row = slice(A.indptr[i], A.indptr[i + 1])
+            hit = np.flatnonzero(A.indices[row] == j)
+            if not len(hit):
+                continue
+            data = A.data.copy()
+            data[A.indptr[i] + hit[0]] *= 0.3
+            A2 = _with_data(A, data)
+            if not _same_strength(A, A2, cfg):
+                continue
+            ref = build_hierarchy(A2, cfg, capture_plan=True)
+            if _pattern(ref.plan.levels[0].p_raw) != _pattern(P):
+                break
+        else:
+            pytest.fail("no weight weakening flips a truncation keep-set")
+        with collect():
+            untruncated = [
+                extended_i_interpolation(g.levels[0].A, g.plan.levels[0].S,
+                                         g.levels[0].cf_marker, truncate=False)
+                for g in (h, ref)
+            ]
+        assert _pattern(untruncated[0]) == _pattern(untruncated[1])
+        with caplog.at_level(logging.INFO, logger="repro.amg.resetup"):
+            h2 = h.refresh(A2)
+        assert _drift_messages(caplog)
+        assert_same_hierarchy(h2, build_hierarchy(A2, cfg))
+
+    def test_degenerate_b_ik_falls_back(self, caplog):
+        """Zeroing the (weak) entries behind one strong-F pair's ``b_ik``
+        keeps every strength decision but makes the pair degenerate."""
+        A = generate("StocF-1465", 1024)[0]
+        cfg = single_node_config(True)
+        h = build_hierarchy(A, cfg, capture_plan=True)
+        lvl, lp = h.levels[0], h.plan.levels[0]
+        ip = lp.interp_plan
+        strong_terms = np.bincount(ip.p_pair, weights=lp.strong_mask[ip.eidx],
+                                   minlength=ip.afs_nnz)
+        terms = np.bincount(ip.p_pair, minlength=ip.afs_nnz)
+        pair = np.flatnonzero((strong_terms == 0) & (terms > 0) & ip.b_ok)[0]
+        data = A.data.copy()
+        data[lp.entry_perm[ip.eidx[ip.p_pair == pair]]] = 0.0
+        A2 = _with_data(A, data)
+        assert _same_strength(A, A2, cfg)
+        stored = _with_data(lvl.A, A2.data[lp.entry_perm])
+        with collect():
+            assert extended_i_values(ip, stored) is None
+        with caplog.at_level(logging.INFO, logger="repro.amg.resetup"):
+            h2 = h.refresh(A2)
+        assert _drift_messages(caplog)
+        assert_same_hierarchy(h2, build_hierarchy(A2, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,37 @@ class TestPatternReuse:
         C = spgemm_numeric(plan, A, A)
         assert C.nnz == 0
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_numeric_on_new_values_bit_identical_to_fresh(self, seed, canonical):
+        """Replaying the gather maps on new values reproduces a fresh
+        product bit for bit, also for inputs with unsorted, duplicated
+        column indices."""
+        rng = np.random.default_rng(seed)
+        A = random_csr(30, 24, density=0.2, seed=seed)
+        B = random_csr(24, 28, density=0.2, seed=seed + 50)
+        if not canonical:
+            rows = np.concatenate([A.row_ids(), A.row_ids()[::3]])
+            cols = np.concatenate([A.indices, A.indices[::3]])
+            perm = rng.permutation(len(rows))
+            A = CSRMatrix.from_coo(A.shape, rows[perm], cols[perm],
+                                   rng.standard_normal(len(rows)),
+                                   sum_duplicates=False)
+        plan = spgemm_symbolic(A, B)
+        A2 = CSRMatrix(A.shape, A.indptr, A.indices, rng.standard_normal(A.nnz))
+        B2 = CSRMatrix(B.shape, B.indptr, B.indices, rng.standard_normal(B.nnz))
+        C = spgemm_numeric(plan, A2, B2)
+        ref = spgemm(A2, B2)
+        np.testing.assert_array_equal(C.indptr, ref.indptr)
+        np.testing.assert_array_equal(C.indices, ref.indices)
+        np.testing.assert_array_equal(C.data, ref.data)
+
+    def test_numeric_rejects_mismatched_shapes(self):
+        A = random_csr(6, 6, seed=3)
+        plan = spgemm_symbolic(A, A)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            spgemm_numeric(plan, A, random_csr(6, 5, seed=4))
+
 
 class TestSpAdd:
     def test_matches_scipy(self):
